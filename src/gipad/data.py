@@ -138,10 +138,15 @@ def read_image(path) -> np.ndarray:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    magic, width, height, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        magic, width, height, maxval = fields[0], *(int(f) for f in fields[1:])
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed PGM/PPM header") from exc
     pos += 1  # single whitespace after maxval
     if magic not in (b"P5", b"P6") or maxval != 255:
         raise DataError(f"{path}: only binary 8-bit PGM/PPM supported")
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: image size {width}x{height} is empty")
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels
     body = raw[pos:pos + need]

@@ -24,6 +24,7 @@ from .tensor import (
     batch_norm_forward,
     checksum64,
     global_avg_pool,
+    global_avg_pool_backward,
     make_rng,
     pointwise_conv,
     pointwise_conv_backward,
@@ -221,9 +222,9 @@ class SqueezeExcite(Layer):
         record = train if record is None else record
         z = x.mean(axis=(2, 3))
         h1 = z @ self.params["w1"].T + self.params["b1"]
-        a1 = np.maximum(h1, 0.0)
+        a1 = activation(h1, "relu")
         h2 = a1 @ self.params["w2"].T + self.params["b2"]
-        gate = np.clip((h2 + 3.0) / 6.0, 0.0, 1.0)
+        gate = activation(h2, "hardsigmoid")
         self._ctx = (x, z, h1, a1, h2, gate) if record else None
         return x * gate[:, :, None, None]
 
@@ -232,11 +233,11 @@ class SqueezeExcite(Layer):
         hw = x.shape[2] * x.shape[3]
         grad_gate = (grad_y * x).sum(axis=(2, 3))
         grad_x = grad_y * gate[:, :, None, None]
-        grad_h2 = grad_gate * ((h2 > -3.0) & (h2 < 3.0)) / 6.0
+        grad_h2 = grad_gate * activation_grad(h2, "hardsigmoid")
         self._accumulate("w2", grad_h2.T @ a1)
         self._accumulate("b2", grad_h2.sum(axis=0))
         grad_a1 = grad_h2 @ self.params["w2"]
-        grad_h1 = grad_a1 * (h1 > 0.0)
+        grad_h1 = grad_a1 * activation_grad(h1, "relu")
         self._accumulate("w1", grad_h1.T @ z)
         self._accumulate("b1", grad_h1.sum(axis=0))
         grad_z = grad_h1 @ self.params["w1"]
@@ -310,8 +311,7 @@ class GlobalPool(Layer):
         return global_avg_pool(x)
 
     def backward(self, grad_y):
-        h, w = self._spatial
-        return np.broadcast_to(grad_y / (h * w), grad_y.shape[:2] + (h, w)).copy()
+        return global_avg_pool_backward(grad_y, self._spatial)
 
 
 class Linear(Layer):
@@ -647,8 +647,11 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     body, trailer = raw[:-8], raw[-8:]

@@ -5,6 +5,11 @@ All spatial ops use zero padding. The location-adaptive operators run at
 stride 1 with "same" padding; strided downsampling stays with plain
 convolution. A kernel field is a rank-6 array H[n, g, u, v, i, j]: one k x k
 kernel per (sample, group, position), shared by every channel of its group.
+
+Depthwise conv and group involution (GI) share one tap engine over the padded
+input viewed as (n, G, S, h, w). Its weights broadcast as per-channel kernels
+(1, C, k, k, 1, 1) for depthwise conv or as the field (n, G, k, k, h, w) for
+GI. Taps reading only padding are skipped: 16 of 25 for k = 5 on 2 x 2 maps.
 """
 
 from __future__ import annotations
@@ -108,11 +113,54 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _live_taps(xg, k, stride, pad, out_hw):
+    """Window index of every tap (u, v) whose strided window over the padded
+    xg reads at least one input cell; the other taps read only padding."""
+    axes = []
+    for padded, out in zip(xg.shape[3:], out_hw):
+        # live if the first read past the leading pad comes before the trailing pad
+        first = [(u, max(0, -((u - pad) // stride))) for u in range(k)]
+        axes.append([(u, slice(u, u + stride * out, stride)) for u, i in first
+                     if i < out and u + stride * i < padded - pad])
+    return [(u, v, (Ellipsis, su, sv)) for u, su in axes[0] for v, sv in axes[1]]
+
+
+def _tap_forward(xg, wt, stride, pad, out_hw):
+    """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v],
+    accumulated tap by tap through one buffer into a contiguous output."""
+    y = np.zeros(xg.shape[:3] + tuple(out_hw), dtype=np.result_type(xg, wt))
+    buf = np.empty_like(y)
+    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, out_hw):
+        np.multiply(wt[:, :, None, u, v], xg[win], out=buf)
+        y += buf
+    return y
+
+
+def _tap_adjoint(grad_y, xg, wt, stride, pad):
+    """Adjoint of _tap_forward: (grad_xg, grad_wt), grad_wt shaped like wt."""
+    grad_xg = np.zeros_like(xg)
+    grad_wt = np.zeros_like(wt)
+    buf = np.empty_like(grad_y)
+    # sum over the axes along which wt broadcasts, keep the others
+    dims = (wt.shape[0], wt.shape[1], wt.shape[4], wt.shape[5])
+    spec = "ngshw,ngshw->" + "".join(a for a, d in zip("nghw", dims) if d > 1 or a == "g")
+    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, grad_y.shape[3:]):
+        tap = grad_wt[:, :, u, v]
+        tap[...] = np.einsum(spec, grad_y, xg[win]).reshape(tap.shape)
+        np.multiply(wt[:, :, None, u, v], grad_y, out=buf)
+        grad_xg[win] += buf
+    return grad_xg, grad_wt
+
+
+def _is_depthwise(weights: ConvWeights, c_in: int) -> bool:
+    return weights.groups == c_in and weights.c_out == c_in
+
+
 def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     """Grouped 2-D convolution with zero padding.
 
     Returns (y, ctx); ctx feeds conv2d_backward. Depthwise shapes (one group
-    per channel, multiplier 1) take a broadcast fast path.
+    per channel, multiplier 1) run on the tap engine.
     """
     n, c_in, h, w = x.shape
     g = weights.groups
@@ -123,20 +171,15 @@ def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     h_out = _out_size(h, k, stride, pad)
     w_out = _out_size(w, k, stride, pad)
     xp = zero_pad(x, pad)
-    depthwise = g == c_in and weights.c_out == c_in
-    if depthwise:
-        kern = weights.kernel[:, 0]
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        y = np.einsum("nchwuv,cuv->nchw", win, kern)
+    if _is_depthwise(weights, c_in):
+        wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
+        y = _tap_forward(xp[:, :, None], wt, stride, pad, (h_out, w_out))[:, :, 0]
     else:
         xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
         kg = weights.kernel.reshape(g, weights.c_out // g, c_in // g, k, k)
         y = np.zeros((n, g, weights.c_out // g, h_out, w_out), dtype=x.dtype)
-        for u in range(k):
-            for v in range(k):
-                win = xg[:, :, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
-                y += np.einsum("ngihw,goi->ngohw", win, kg[:, :, :, u, v])
+        for u, v, win in _live_taps(xg, k, stride, pad, (h_out, w_out)):
+            y += np.einsum("ngihw,goi->ngohw", xg[win], kg[:, :, :, u, v])
         y = y.reshape(n, weights.c_out, h_out, w_out)
     if bias is not None:
         y += bias[None, :, None, None]
@@ -152,29 +195,20 @@ def conv2d_backward(grad_y, ctx):
     k = weights.k
     if grad_y.shape != (n, weights.c_out, h_out, w_out):
         raise InternalError(f"grad_y shape {grad_y.shape} does not match saved forward context")
-    grad_xp = np.zeros_like(xp)
-    depthwise = g == c_in and weights.c_out == c_in
-    if depthwise:
-        kern = weights.kernel[:, 0]
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        grad_k = np.einsum("nchw,nchwuv->cuv", grad_y, win)
-        for u in range(k):
-            for v in range(k):
-                grad_xp[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += \
-                    kern[None, :, u, v, None, None] * grad_y
+    if _is_depthwise(weights, c_in):
+        wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
+        grad_xg, grad_k = _tap_adjoint(grad_y[:, :, None], xp[:, :, None], wt, stride, pad)
+        grad_xp = grad_xg[:, :, 0]
     else:
+        grad_xp = np.zeros_like(xp)
         xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
         gy = grad_y.reshape(n, g, weights.c_out // g, h_out, w_out)
         kg = weights.kernel.reshape(g, weights.c_out // g, c_in // g, k, k)
         grad_k = np.zeros_like(kg)
         grad_xg = grad_xp.reshape(xg.shape)
-        for u in range(k):
-            for v in range(k):
-                win = xg[:, :, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride]
-                grad_k[:, :, :, u, v] = np.einsum("ngohw,ngihw->goi", gy, win)
-                grad_xg[:, :, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += \
-                    np.einsum("ngohw,goi->ngihw", gy, kg[:, :, :, u, v])
+        for u, v, win in _live_taps(xg, k, stride, pad, (h_out, w_out)):
+            grad_k[:, :, :, u, v] = np.einsum("ngohw,ngihw->goi", gy, xg[win])
+            grad_xg[win] += np.einsum("ngohw,goi->ngihw", gy, kg[:, :, :, u, v])
     grad_x = crop_pad(grad_xp, pad)
     grad_bias = grad_y.sum(axis=(0, 2, 3)) if has_bias else None
     return grad_x, grad_k.reshape(weights.kernel.shape), grad_bias
@@ -186,19 +220,9 @@ def involution_forward(x, field):
     field is H[n, 1, u, v, i, j]; every channel at (i, j) is filtered by the
     same k x k kernel generated for that position.
     """
-    n, c, h, w = x.shape
     if field.ndim != 6 or field.shape[1] != 1:
         raise ConfigError(f"involution needs a single-group field, got shape {field.shape}")
-    if field.shape[0] != n or field.shape[4:] != (h, w):
-        raise ConfigError(f"field {field.shape} does not match input {x.shape}")
-    k = field.shape[2]
-    r = k // 2
-    xp = zero_pad(x, r)
-    y = np.zeros_like(x)
-    for u in range(k):
-        for v in range(k):
-            y += field[:, :, u, v] * xp[:, :, u:u + h, v:v + w]
-    return y
+    return group_involution_forward(x, field, GroupMap(x.shape[1], 1))[0]
 
 
 def group_involution_forward(x, field, gmap: GroupMap):
@@ -216,16 +240,9 @@ def group_involution_forward(x, field, gmap: GroupMap):
         raise ConfigError(f"field {field.shape} does not match {gmap.groups} groups, batch {n}")
     if field.shape[4:] != (h, w):
         raise ConfigError(f"field spatial dims {field.shape[4:]} != input {(h, w)}")
-    k = field.shape[2]
-    r = k // 2
-    xp = zero_pad(x, r)
-    xg = xp.reshape(n, gmap.groups, gmap.group_size, h + 2 * r, w + 2 * r)
-    y = np.zeros((n, gmap.groups, gmap.group_size, h, w), dtype=x.dtype)
-    for u in range(k):
-        for v in range(k):
-            y += field[:, :, None, u, v] * xg[:, :, :, u:u + h, v:v + w]
-    ctx = (xg, field, gmap, (h, w))
-    return y.reshape(n, c, h, w), ctx
+    r = field.shape[2] // 2
+    xg = zero_pad(x, r).reshape(n, gmap.groups, gmap.group_size, h + 2 * r, w + 2 * r)
+    return _tap_forward(xg, field, 1, r, (h, w)).reshape(n, c, h, w), (xg, field, gmap, (h, w))
 
 
 def gi_backward(grad_y, ctx):
@@ -239,16 +256,8 @@ def gi_backward(grad_y, ctx):
     n = xg.shape[0]
     if grad_y.shape != (n, gmap.channels, h, w):
         raise InternalError(f"grad_y shape {grad_y.shape} does not match saved forward context")
-    k = field.shape[2]
-    r = k // 2
-    gy = grad_y.reshape(n, gmap.groups, gmap.group_size, h, w)
-    grad_field = np.empty_like(field)
-    grad_xg = np.zeros_like(xg)
-    for u in range(k):
-        for v in range(k):
-            win = xg[:, :, :, u:u + h, v:v + w]
-            grad_field[:, :, u, v] = np.einsum("ngshw,ngshw->nghw", gy, win)
-            grad_xg[:, :, :, u:u + h, v:v + w] += field[:, :, None, u, v] * gy
+    r = field.shape[2] // 2
+    grad_xg, grad_field = _tap_adjoint(grad_y.reshape(xg.shape[:3] + (h, w)), xg, field, 1, r)
     grad_x = crop_pad(grad_xg.reshape(n, gmap.channels, h + 2 * r, w + 2 * r), r)
     return grad_x, grad_field
 

@@ -143,17 +143,23 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, train,
     record = train if record is None else record
     if train:
         mean = x.mean(axis=(0, 2, 3))
-        centered = x - mean[None, :, None, None]
-        var = np.mean(centered * centered, axis=(0, 2, 3))
+        xhat = x - mean[None, :, None, None]
+        # two passes: E[x^2] - E[x]^2 cancels catastrophically when |mean| >> std
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / (x.size // x.shape[1])
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std[None, :, None, None]
+        y = xhat * gamma[None, :, None, None]
+        y += beta[None, :, None, None]
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
-        mean, var = running_mean, running_var
-        centered = x - mean[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma * inv_std
+        y = x * scale[None, :, None, None]
+        y += (beta - running_mean * scale)[None, :, None, None]
+        xhat = (x - running_mean[None, :, None, None]) * inv_std[None, :, None, None] \
+            if record else None
         new_mean, new_var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
     ctx = ("train" if train else "infer", xhat, inv_std, gamma) if record else None
     return y, ctx, new_mean, new_var
 
@@ -162,19 +168,22 @@ def batch_norm_backward(grad_y, ctx):
     """Adjoint of batch_norm_forward; returns (grad_x, grad_gamma, grad_beta).
 
     Train mode carries the batch-statistics coupling terms:
-      dx = gamma*inv_std * (dy - mean(dy) - xhat * mean(dy*xhat));
-    infer mode is the plain affine adjoint dx = gamma*inv_std*dy.
+      dx = gamma*inv_std * (dy - mean(dy) - xhat * mean(dy*xhat)),
+    the two means taken from grad_beta and grad_gamma; infer mode is the
+    plain affine adjoint dx = gamma*inv_std*dy.
     """
     mode, xhat, inv_std, gamma = ctx
-    grad_gamma = (grad_y * xhat).sum(axis=(0, 2, 3))
+    grad_gamma = np.einsum("nchw,nchw->c", grad_y, xhat)
     grad_beta = grad_y.sum(axis=(0, 2, 3))
-    g = grad_y * gamma[None, :, None, None]
+    scale = (gamma * inv_std)[None, :, None, None]
     if mode == "train":
-        g_mean = g.mean(axis=(0, 2, 3), keepdims=True)
-        gx_mean = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        grad_x = inv_std[None, :, None, None] * (g - g_mean - xhat * gx_mean)
+        count = grad_y.size // grad_y.shape[1]
+        grad_x = xhat * (-grad_gamma / count)[None, :, None, None]
+        grad_x += grad_y
+        grad_x -= (grad_beta / count)[None, :, None, None]
+        grad_x *= scale
     else:
-        grad_x = g * inv_std[None, :, None, None]
+        grad_x = grad_y * scale
     return grad_x, grad_gamma, grad_beta
 
 

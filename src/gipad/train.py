@@ -44,6 +44,10 @@ class TrainConfig:
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.precision not in ("double", "single"):
             raise ConfigError(f"precision must be double or single, got {self.precision!r}")
 
@@ -145,20 +149,21 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: TrainConfig) -> None:
 # Early stopping
 # ---------------------------------------------------------------------------
 
-def run_early_stopping(dev_losses, patience: int, max_epochs: int):
-    """Replay the stopping rule over a dev-loss trace.
+def early_stopping_step(best, best_epoch, epoch, loss, patience: int):
+    """The stopping rule for one epoch: returns (best, best_epoch, stop), where
+    stop means the dev loss has not strictly improved for `patience` epochs."""
+    if loss < best:
+        best, best_epoch = loss, epoch
+    return best, best_epoch, epoch - best_epoch >= patience
 
-    Training stops once the dev loss has not strictly improved for
-    `patience` consecutive epochs. Returns (epochs_run, best_epoch,
-    stop_reason), both epoch numbers 1-based.
-    """
-    best = np.inf
-    best_epoch = 0
+
+def run_early_stopping(dev_losses, patience: int, max_epochs: int):
+    """Replay the stopping rule over a dev-loss trace; returns (epochs_run,
+    best_epoch, stop_reason), both epoch numbers 1-based."""
+    best, best_epoch = np.inf, 0
     for epoch, loss in enumerate(dev_losses[:max_epochs], 1):
-        if loss < best:
-            best = loss
-            best_epoch = epoch
-        if epoch - best_epoch >= patience:
+        best, best_epoch, stop = early_stopping_step(best, best_epoch, epoch, loss, patience)
+        if stop:
             return epoch, best_epoch, "early_stop"
     return min(len(dev_losses), max_epochs), best_epoch, "max_epochs"
 
@@ -176,6 +181,8 @@ def load_split_tensors(root, rows, size: int, dtype=np.float64):
 
 def score_batches(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Live-class probabilities in infer mode."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     out = []
     for start in range(0, x.shape[0], batch_size):
         logits = model.forward(x[start:start + batch_size], train=False, record=False)
@@ -233,12 +240,12 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
         history.dev_loss.append(float(dev_loss))
         history.dev_acc.append(dev_acc)
 
-        if dev_loss < best_loss:
-            best_loss = dev_loss
-            history.best_epoch = epoch
+        best_loss, history.best_epoch, stop = early_stopping_step(
+            best_loss, history.best_epoch, epoch, dev_loss, cfg.patience)
+        if history.best_epoch == epoch:
             best_params = {name: arr.copy() for name, arr in model.parameters()}
             best_params.update({name: arr.copy() for name, arr in model.named_state()})
-        if epoch - history.best_epoch >= cfg.patience:
+        if stop:
             history.stop_reason = "early_stop"
             break
     else:

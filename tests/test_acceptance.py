@@ -333,6 +333,7 @@ def test_c07_complexity_closeness(tmp_path):
                                 else " [outside +/-15%, deviation report emitted]"))
 
 
+@pytest.mark.slow
 def test_c08_desk_scale_learning(bench):
     rep = bench["metrics"]
     acc = rep["accuracy"]
@@ -344,6 +345,7 @@ def test_c08_desk_scale_learning(bench):
            f"wall {bench['wall']:.0f}s (< 600s)")
 
 
+@pytest.mark.slow
 def test_c09_determinism(bench):
     dataset = bench["dataset"]
     histories = []
@@ -365,6 +367,7 @@ def test_c10_early_stopping_trace():
                    f"best epoch {best} ({reason})")
 
 
+@pytest.mark.slow
 def test_c11_audit_properties(bench):
     rng = np.random.default_rng(111)
     bounds_ok = True

@@ -280,3 +280,37 @@ class TestConfigHandling:
         assert "seed = 9  # flag" in resolved
         assert "train = 4  # file" in resolved
         assert "patience = 5  # default" in resolved
+
+
+
+# Inputs that once escaped as raw tracebacks (exit 1), with the documented
+# exit code each must map to: 2 for configuration, 3 for data errors.
+BAD_INPUTS = {
+    "empty_image": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"], b"", 3),
+    "truncated_header": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"],
+                         b"P6\n4", 3),
+    "non_numeric_header": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"],
+                           b"P6\nab cd\n255\n", 3),
+    "batch_size_0": (["train", "--manifest", "{manifest}", *TRAIN_FLAGS, "--batch-size", "0"],
+                     None, 2),
+    "max_epochs_0": (["train", "--manifest", "{manifest}", *TRAIN_FLAGS, "--max-epochs", "0"],
+                     None, 2),
+    "eval_batch_0": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+                      "--eval-batch", "0"], None, 2),
+    "missing_checkpoint": (["eval", "--manifest", "{manifest}",
+                            "--checkpoint", "{tmp}/missing.ckpt"], None, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
+    from gipad import cli
+
+    argv, image, code = BAD_INPUTS[case]
+    if image is not None:
+        (tmp_path / "bad.ppm").write_bytes(image)
+    subs = {"tmp": tmp_path, "manifest": workspace["dataset"] / "manifest.csv",
+            "ckpt": workspace["rundir"] / "model.ckpt"}
+    argv = [a.format(**subs) for a in argv] + ["--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from gipad import net, ops, tensor, train
 
-from oracles import fd_grad, max_rel_err
+from oracles import conv2d_ref, fd_grad, gi_ref, max_rel_err
 
 FD_TOL = 1e-4
 
@@ -125,6 +125,50 @@ class TestConvBackward:
         check_grad(gx, loss, x)
         check_grad(gk, loss, kernel)
         check_grad(gb, loss, bias)
+
+
+class TestTapEngineSmallMaps:
+    """Maps smaller than the kernel radius, where some taps read only padding."""
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise(self, hw, k, stride):
+        rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k + stride)
+        c = 3
+        x = rng.standard_normal((2, c, *hw))
+        kernel = rng.standard_normal((c, 1, k, k))
+        w = ops.ConvWeights(kernel, groups=c)
+        y, ctx = ops.conv2d(x, w, stride=stride, pad=k // 2)
+        np.testing.assert_allclose(
+            y, conv2d_ref(x, kernel, stride=stride, pad=k // 2, groups=c), atol=1e-12)
+        probe = rng.standard_normal(y.shape)
+
+        def loss():
+            return float((ops.conv2d(x, w, stride=stride, pad=k // 2)[0] * probe).sum())
+
+        gx, gk, _ = ops.conv2d_backward(probe, ctx)
+        check_grad(gx, loss, x)
+        check_grad(gk, loss, kernel)
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_group_involution(self, hw, k):
+        rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k)
+        c, g = 4, 2
+        x = rng.standard_normal((2, c, *hw))
+        field = rng.standard_normal((2, g, k, k, *hw))
+        gmap = ops.GroupMap(c, g)
+        y, ctx = ops.group_involution_forward(x, field, gmap)
+        np.testing.assert_allclose(y, gi_ref(x, field, g), atol=1e-12)
+        probe = rng.standard_normal(y.shape)
+
+        def loss():
+            return float((ops.group_involution_forward(x, field, gmap)[0] * probe).sum())
+
+        gx, gf = ops.gi_backward(probe, ctx)
+        check_grad(gx, loss, x)
+        check_grad(gf, loss, field)
 
 
 class TestGeneratorBackward:

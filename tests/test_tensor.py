@@ -166,6 +166,29 @@ class TestBatchNorm:
             tensor.batch_norm_forward(np.zeros((1, 3, 2, 2)), np.ones(2), np.zeros(2),
                                       np.zeros(2), np.ones(2), True)
 
+    def test_train_large_mean_matches_two_pass(self):
+        # one-pass E[x^2] - E[x]^2 loses about 1e-8 of the variance here
+        x = np.random.default_rng(13).standard_normal((8, 3, 5, 5)) + 1e4
+        gamma, beta = np.array([1.5, 0.5, -2.0]), np.array([0.1, 0.0, -0.3])
+        y, _, _, new_v = tensor.batch_norm_forward(
+            x, gamma, beta, np.zeros(3), np.ones(3), train=True)
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        expected = gamma[None, :, None, None] * (x - mean) / np.sqrt(var + tensor.BN_EPS) \
+            + beta[None, :, None, None]
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(new_v, 0.9 + 0.1 * var.ravel(), rtol=1e-12)
+
+    def test_infer_output_independent_of_record(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 4, 4))
+        args = (x, rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal(3),
+                rng.uniform(0.5, 2.0, 3), False)
+        y_rec, ctx, _, _ = tensor.batch_norm_forward(*args, record=True)
+        y_bare, none, _, _ = tensor.batch_norm_forward(*args, record=False)
+        assert ctx is not None and none is None
+        np.testing.assert_array_equal(y_rec, y_bare)
+
 
 class TestPurity:
     def test_ops_bitwise_repeatable(self):

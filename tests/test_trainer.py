@@ -129,6 +129,9 @@ class TestTrainLoop:
         assert len(history.dev_loss) <= 3
         assert history.stop_reason in ("early_stop", "max_epochs")
         assert history.dev_loss[history.best_epoch - 1] == min(history.dev_loss)
+        # the trainer ran the rule that run_early_stopping replays
+        assert train.run_early_stopping(history.dev_loss, cfg.patience, cfg.max_epochs) == \
+            (len(history.dev_loss), history.best_epoch, history.stop_reason)
         # the model holds the best parameters
         current = dict(model.parameters())
         for name, arr in current.items():
