@@ -144,6 +144,9 @@ def echo_resolved(outdir, values, provenance):
 
 def apply_threads(n):
     if n and n > 0:
+        if "numpy" in sys.modules:
+            print(f"warning: --threads {n} has no effect: numpy is already loaded in "
+                  "this process, so its thread pools are fixed", file=sys.stderr)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = str(n)

@@ -657,24 +657,26 @@ def load_checkpoint(path) -> Model:
     body, trailer = raw[:-8], raw[-8:]
     if struct.unpack("<Q", trailer)[0] != checksum64(body):
         raise DataError(f"{path}: checksum mismatch, file corrupted")
-    pos = 4
-    (clen,) = struct.unpack_from("<I", body, pos)
-    pos += 4
-    cfg, seed = _parse_config_text(body[pos:pos + clen].decode("utf-8"))
-    pos += clen
-    (mlen,) = struct.unpack_from("<I", body, pos)
-    pos += 4
-    manifest = body[pos:pos + mlen].decode("utf-8").splitlines()
-    pos += mlen
+    try:
+        pos = 4
+        (clen,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        cfg, seed = _parse_config_text(body[pos:pos + clen].decode("utf-8"))
+        pos += clen
+        (mlen,) = struct.unpack_from("<I", body, pos)
+        pos += 4
+        manifest = [(parts[0], int(parts[1])) for parts in
+                    (line.split(",") for line in body[pos:pos + mlen].decode("utf-8").splitlines())]
+        pos += mlen
+    except (ValueError, IndexError, struct.error) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
     model = build_model(cfg, make_rng(seed))
     model.seed = seed
     arrays = dict(model.parameters())
     arrays.update(dict(model.named_state()))
     blobs = memoryview(body)[pos:]
     seen = set()
-    for line in manifest:
-        parts = line.split(",")
-        name, offset = parts[0], int(parts[1])
+    for name, offset in manifest:
         if name not in arrays:
             raise DataError(f"{path}: checkpoint entry {name!r} not present in model")
         target = arrays[name]

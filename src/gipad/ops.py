@@ -10,6 +10,13 @@ Depthwise conv and group involution (GI) share one tap engine over the padded
 input viewed as (n, G, S, h, w). Its weights broadcast as per-channel kernels
 (1, C, k, k, 1, 1) for depthwise conv or as the field (n, G, k, k, h, w) for
 GI. Taps reading only padding are skipped: 16 of 25 for k = 5 on 2 x 2 maps.
+
+The engine stores the padded input, output, buffer and input gradient
+channels-last, as (n, h, w, S, G), and the weights as (k, k, n, h, w, G), so
+numpy's innermost loop runs over groups instead of a short output row (2 to 8
+elements on the desk's small maps). Only strides change: the logical shapes,
+tap order and results are those of the NCHW views; y is C-contiguous NCHW, and
+grad_x is the NCHW crop of the padded input gradient, not copied.
 """
 
 from __future__ import annotations
@@ -125,31 +132,49 @@ def _live_taps(xg, k, stride, pad, out_hw):
     return [(u, v, (Ellipsis, su, sv)) for u, su in axes[0] for v, sv in axes[1]]
 
 
-def _tap_forward(xg, wt, stride, pad, out_hw):
-    """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v],
-    accumulated tap by tap through one buffer into a contiguous output."""
-    y = np.zeros(xg.shape[:3] + tuple(out_hw), dtype=np.result_type(xg, wt))
+def _tap_forward(x, wt, stride, pad, out_hw):
+    """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v]
+    over the zero-padded x viewed as xg (n, G, S, h, w), tap by tap through one
+    buffer. Returns (y, xg, wt): y C-contiguous NCHW; xg and wt, stored
+    channels-last, feed _tap_adjoint."""
+    n, c, h, w = x.shape
+    g = wt.shape[1]
+    xg = np.zeros((n, h + 2 * pad, w + 2 * pad, c // g, g), x.dtype).transpose(0, 4, 3, 1, 2)
+    xg[..., pad:pad + h, pad:pad + w] = x.reshape(n, g, c // g, h, w)
+    wt = np.ascontiguousarray(wt.transpose(2, 3, 0, 4, 5, 1)).transpose(2, 5, 0, 1, 3, 4)
+    # zeros_like keeps the memory order of xg
+    y = np.zeros_like(xg, dtype=np.result_type(xg, wt), shape=xg.shape[:3] + tuple(out_hw))
     buf = np.empty_like(y)
     for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, out_hw):
         np.multiply(wt[:, :, None, u, v], xg[win], out=buf)
         y += buf
-    return y
+    del buf  # before the NCHW copy of y, which would otherwise raise peak memory
+    return np.ascontiguousarray(y.reshape(n, c, *out_hw)), xg, wt
 
 
 def _tap_adjoint(grad_y, xg, wt, stride, pad):
-    """Adjoint of _tap_forward: (grad_xg, grad_wt), grad_wt shaped like wt."""
+    """Adjoint of _tap_forward, given the xg and wt it returned: (grad_x,
+    grad_wt), grad_x the NCHW crop of the padded gradient (not made
+    contiguous) and grad_wt shaped like wt."""
+    n, g, s, hp, wp = xg.shape
+    gy = grad_y.reshape(n, g, s, *grad_y.shape[2:])
+    gy = np.ascontiguousarray(gy.transpose(0, 3, 4, 2, 1)).transpose(0, 4, 3, 1, 2)
     grad_xg = np.zeros_like(xg)
-    grad_wt = np.zeros_like(wt)
-    buf = np.empty_like(grad_y)
+    # stored as (n, h, w, G, k, k), the memory order of the generator's output,
+    # so that the generator's backward reads the field gradient without a copy
+    a, _, k, _, b, c = wt.shape
+    grad_wt = np.zeros((a, b, c, g, k, k), wt.dtype).transpose(0, 3, 4, 5, 1, 2)
+    buf = np.empty_like(gy)
     # sum over the axes along which wt broadcasts, keep the others
     dims = (wt.shape[0], wt.shape[1], wt.shape[4], wt.shape[5])
     spec = "ngshw,ngshw->" + "".join(a for a, d in zip("nghw", dims) if d > 1 or a == "g")
-    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, grad_y.shape[3:]):
+    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, gy.shape[3:]):
         tap = grad_wt[:, :, u, v]
-        tap[...] = np.einsum(spec, grad_y, xg[win]).reshape(tap.shape)
-        np.multiply(wt[:, :, None, u, v], grad_y, out=buf)
+        tap[...] = np.einsum(spec, gy, xg[win]).reshape(tap.shape)
+        np.multiply(wt[:, :, None, u, v], gy, out=buf)
         grad_xg[win] += buf
-    return grad_xg, grad_wt
+    grad_x = grad_xg[..., pad:hp - pad, pad:wp - pad].reshape(n, g * s, hp - 2 * pad, wp - 2 * pad)
+    return grad_x, grad_wt
 
 
 def _is_depthwise(weights: ConvWeights, c_in: int) -> bool:
@@ -170,11 +195,11 @@ def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     k = weights.k
     h_out = _out_size(h, k, stride, pad)
     w_out = _out_size(w, k, stride, pad)
-    xp = zero_pad(x, pad)
     if _is_depthwise(weights, c_in):
         wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
-        y = _tap_forward(xp[:, :, None], wt, stride, pad, (h_out, w_out))[:, :, 0]
+        y, xp, _ = _tap_forward(x, wt, stride, pad, (h_out, w_out))
     else:
+        xp = zero_pad(x, pad)
         xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
         kg = weights.kernel.reshape(g, weights.c_out // g, c_in // g, k, k)
         y = np.zeros((n, g, weights.c_out // g, h_out, w_out), dtype=x.dtype)
@@ -197,8 +222,7 @@ def conv2d_backward(grad_y, ctx):
         raise InternalError(f"grad_y shape {grad_y.shape} does not match saved forward context")
     if _is_depthwise(weights, c_in):
         wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
-        grad_xg, grad_k = _tap_adjoint(grad_y[:, :, None], xp[:, :, None], wt, stride, pad)
-        grad_xp = grad_xg[:, :, 0]
+        grad_x, grad_k = _tap_adjoint(grad_y, xp, wt, stride, pad)
     else:
         grad_xp = np.zeros_like(xp)
         xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
@@ -209,7 +233,7 @@ def conv2d_backward(grad_y, ctx):
         for u, v, win in _live_taps(xg, k, stride, pad, (h_out, w_out)):
             grad_k[:, :, :, u, v] = np.einsum("ngohw,ngihw->goi", gy, xg[win])
             grad_xg[win] += np.einsum("ngohw,goi->ngihw", gy, kg[:, :, :, u, v])
-    grad_x = crop_pad(grad_xp, pad)
+        grad_x = crop_pad(grad_xp, pad)
     grad_bias = grad_y.sum(axis=(0, 2, 3)) if has_bias else None
     return grad_x, grad_k.reshape(weights.kernel.shape), grad_bias
 
@@ -240,9 +264,8 @@ def group_involution_forward(x, field, gmap: GroupMap):
         raise ConfigError(f"field {field.shape} does not match {gmap.groups} groups, batch {n}")
     if field.shape[4:] != (h, w):
         raise ConfigError(f"field spatial dims {field.shape[4:]} != input {(h, w)}")
-    r = field.shape[2] // 2
-    xg = zero_pad(x, r).reshape(n, gmap.groups, gmap.group_size, h + 2 * r, w + 2 * r)
-    return _tap_forward(xg, field, 1, r, (h, w)).reshape(n, c, h, w), (xg, field, gmap, (h, w))
+    y, xg, field = _tap_forward(x, field, 1, field.shape[2] // 2, (h, w))
+    return y, (xg, field, gmap, (h, w))
 
 
 def gi_backward(grad_y, ctx):
@@ -256,10 +279,7 @@ def gi_backward(grad_y, ctx):
     n = xg.shape[0]
     if grad_y.shape != (n, gmap.channels, h, w):
         raise InternalError(f"grad_y shape {grad_y.shape} does not match saved forward context")
-    r = field.shape[2] // 2
-    grad_xg, grad_field = _tap_adjoint(grad_y.reshape(xg.shape[:3] + (h, w)), xg, field, 1, r)
-    grad_x = crop_pad(grad_xg.reshape(n, gmap.channels, h + 2 * r, w + 2 * r), r)
-    return grad_x, grad_field
+    return _tap_adjoint(grad_y, xg, field, 1, field.shape[2] // 2)
 
 
 def generate_kernels(x, params: GeneratorParams, train: bool = False, record=None):

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from gipad import metrics
+from gipad.tensor import checksum64
 
 
 def run_cli(*args, cwd=None):
@@ -234,6 +237,22 @@ class TestFlops:
         assert rows[-1]["status"].startswith("error")
 
 
+class TestThreads:
+    FLAGS = ["flops", "--grid-sizes", "64", "--threads", "1"]
+
+    def test_warns_when_numpy_is_loaded(self, tmp_path, capsys):
+        from gipad import cli
+
+        assert cli.main(self.FLAGS + ["--outdir", str(tmp_path / "f")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: --threads 1 has no effect") == 1
+
+    def test_silent_in_a_fresh_process(self, tmp_path):
+        proc = run_cli(*self.FLAGS, "--outdir", str(tmp_path / "f"))
+        assert proc.returncode == 0, proc.stderr
+        assert "warning" not in proc.stderr
+
+
 class TestGradcam:
     def test_outputs(self, workspace, tmp_path):
         dataset, rundir = workspace["dataset"], workspace["rundir"]
@@ -299,16 +318,38 @@ BAD_INPUTS = {
                       "--eval-batch", "0"], None, 2),
     "missing_checkpoint": (["eval", "--manifest", "{manifest}",
                             "--checkpoint", "{tmp}/missing.ckpt"], None, 3),
+    # checkpoints edited as (block, pattern, replacement) under a valid checksum
+    "checkpoint_config_not_int": (["eval", "--manifest", "{manifest}",
+                                   "--checkpoint", "{tmp}/bad.ckpt"],
+                                  (0, rb"groups = \S+", b"groups = xx"), 3),
+    "checkpoint_offset_not_int": (["eval", "--manifest", "{manifest}",
+                                   "--checkpoint", "{tmp}/bad.ckpt"], (1, rb",0,", b",zz,"), 3),
 }
+
+
+def edit_checkpoint(raw, block, pattern, replacement):
+    """Checkpoint bytes with the first match of `pattern` in its config (block
+    0) or manifest (block 1) text replaced, and the checksum recomputed."""
+    pos, blocks = 4, []
+    for _ in range(2):
+        (size,) = struct.unpack_from("<I", raw, pos)
+        blocks.append(raw[pos + 4:pos + 4 + size])
+        pos += 4 + size
+    blocks[block] = re.sub(pattern, replacement, blocks[block], count=1)
+    body = raw[:4] + b"".join(struct.pack("<I", len(b)) + b for b in blocks) + raw[pos:-8]
+    return body + struct.pack("<Q", checksum64(body))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
     from gipad import cli
 
-    argv, image, code = BAD_INPUTS[case]
-    if image is not None:
-        (tmp_path / "bad.ppm").write_bytes(image)
+    argv, payload, code = BAD_INPUTS[case]
+    if isinstance(payload, bytes):
+        (tmp_path / "bad.ppm").write_bytes(payload)
+    elif payload is not None:
+        raw = (workspace["rundir"] / "model.ckpt").read_bytes()
+        (tmp_path / "bad.ckpt").write_bytes(edit_checkpoint(raw, *payload))
     subs = {"tmp": tmp_path, "manifest": workspace["dataset"] / "manifest.csv",
             "ckpt": workspace["rundir"] / "model.ckpt"}
     argv = [a.format(**subs) for a in argv] + ["--outdir", str(tmp_path / "out")]

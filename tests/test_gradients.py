@@ -127,15 +127,23 @@ class TestConvBackward:
         check_grad(gb, loss, bias)
 
 
-class TestTapEngineSmallMaps:
-    """Maps smaller than the kernel radius, where some taps read only padding."""
+def tap_cases(small, larger):
+    # the small-map cases keep their hw0.. ids
+    return [pytest.param(*case, id=f"hw{i}") for i, case in enumerate(small)] + larger
 
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (2, 3)])
+
+class TestTapEngineSmallMaps:
+    """Maps smaller than the kernel radius, where some taps read only padding,
+    and larger maps with the group count above, equal to and below the output
+    width."""
+
+    @pytest.mark.parametrize("c, hw", tap_cases(
+        [(3, (1, 1)), (3, (2, 2)), (3, (2, 3))],
+        [(16, (9, 9)), (9, (8, 8)), (8, (8, 8)), (3, (8, 8))]))
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_depthwise(self, hw, k, stride):
+    def test_depthwise(self, c, hw, k, stride):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k + stride)
-        c = 3
         x = rng.standard_normal((2, c, *hw))
         kernel = rng.standard_normal((c, 1, k, k))
         w = ops.ConvWeights(kernel, groups=c)
@@ -148,14 +156,16 @@ class TestTapEngineSmallMaps:
             return float((ops.conv2d(x, w, stride=stride, pad=k // 2)[0] * probe).sum())
 
         gx, gk, _ = ops.conv2d_backward(probe, ctx)
+        assert y.flags.c_contiguous and gk.flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gk, loss, kernel)
 
-    @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("c, g, hw", tap_cases(
+        [(4, 2, (1, 1)), (4, 2, (2, 2)), (4, 2, (2, 3))],
+        [(12, 6, (3, 3)), (6, 6, (2, 4)), (4, 2, (5, 5))]))
     @pytest.mark.parametrize("k", [3, 5])
-    def test_group_involution(self, hw, k):
+    def test_group_involution(self, c, g, hw, k):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k)
-        c, g = 4, 2
         x = rng.standard_normal((2, c, *hw))
         field = rng.standard_normal((2, g, k, k, *hw))
         gmap = ops.GroupMap(c, g)
@@ -167,6 +177,7 @@ class TestTapEngineSmallMaps:
             return float((ops.group_involution_forward(x, field, gmap)[0] * probe).sum())
 
         gx, gf = ops.gi_backward(probe, ctx)
+        assert y.flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gf, loss, field)
 
