@@ -1,6 +1,7 @@
 """Group-involution network, trainer, PAD metrics and kernel audit.
 
 Submodules:
+  config   model, trainer and synthetic-data settings; `key = value` text
   tensor   rank-4 array primitives and the binary tensor container
   ops      spatial operators with analytic backward passes
   net      backbone, parameter/FLOP accounting, Grad-CAM, checkpoints

@@ -183,6 +183,8 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
 
     if model.end_gi is None:
         raise ConfigError("kernel audit requires a model with an end-placement adaptive block")
+    if max_samples < 1:
+        raise ConfigError(f"max_samples must be >= 1, got {max_samples}")
     chosen = split_rows(rows, split)[:max_samples]
     if not chosen:
         raise ConfigError(f"no rows in split {split!r}")

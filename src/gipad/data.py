@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SPLITS, SynthSpec
 from .errors import ConfigError, DataError
 
 LABELS = ("bonafide", "attack")
-SPLITS = ("train", "dev", "test")
 CHANNEL_MEAN = 0.5
 CHANNEL_STD = 0.5
 
@@ -226,20 +226,6 @@ def split_rows(rows, split: str) -> list[ManifestRow]:
 # ---------------------------------------------------------------------------
 # Synthetic benchmark
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SynthSpec:
-    seed: int = 7
-    train: int = 512
-    dev: int = 128
-    test: int = 128
-    size: int = 64
-
-    def __post_init__(self):
-        for split in SPLITS:
-            if getattr(self, split) < 1:
-                raise ConfigError(f"synthetic {split} count must be >= 1")
-
 
 _SPLIT_IDS = {"train": 0, "dev": 1, "test": 2}
 

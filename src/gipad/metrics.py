@@ -51,12 +51,17 @@ def rates_at(scores, labels, tau: float):
     return far, frr, correct / (bona.size + attack.size)
 
 
-def threshold_candidates(scores) -> np.ndarray:
-    """Sweep set: one point below all scores, midpoints between adjacent
-    distinct scores, one point above all scores."""
-    uniq = np.unique(np.asarray(scores, dtype=np.float64))
-    mids = (uniq[:-1] + uniq[1:]) / 2.0
-    return np.concatenate(([uniq[0] - 1.0], mids, [uniq[-1] + 1.0]))
+def _sweep(bona, attack):
+    """Candidate thresholds and, at each, the counts of bonafide and attack
+    scores accepted (score >= tau); each class is sorted once.
+
+    The candidates are one point below all scores, the midpoints between
+    adjacent distinct scores, and one point above all scores.
+    """
+    uniq = np.unique(np.concatenate([bona, attack]))
+    taus = np.concatenate(([uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]))
+    accepted = [x.size - np.searchsorted(np.sort(x), taus, side="left") for x in (bona, attack)]
+    return taus, *accepted
 
 
 def eer(scores, labels):
@@ -64,16 +69,11 @@ def eer(scores, labels):
     ties resolved toward the smaller threshold; EER = (FAR + FRR) / 2."""
     bona, attack = _split_scores(scores, labels)
     _require_both(bona, attack, "eer")
-    best_gap = np.inf
-    best = (0.0, 0.0)
-    for tau in threshold_candidates(np.concatenate([bona, attack])):
-        far = np.count_nonzero(attack >= tau) / attack.size
-        frr = np.count_nonzero(bona < tau) / bona.size
-        gap = abs(far - frr)
-        if gap < best_gap:
-            best_gap = gap
-            best = ((far + frr) / 2.0, tau)
-    return best
+    taus, acc_bona, acc_attack = _sweep(bona, attack)
+    far = acc_attack / attack.size
+    frr = (bona.size - acc_bona) / bona.size
+    i = int(np.argmin(np.abs(far - frr)))
+    return float((far[i] + frr[i]) / 2.0), taus[i]
 
 
 def hter(scores, labels, op: OperatingPoint) -> float:
@@ -86,34 +86,18 @@ def auc_roc(scores, labels) -> float:
     """Mann-Whitney statistic: P(bonafide score > attack score) + half ties."""
     bona, attack = _split_scores(scores, labels)
     _require_both(bona, attack, "auc_roc")
-    merged = np.concatenate([bona, attack])
-    order = np.argsort(merged, kind="mergesort")
-    ranks = np.empty(merged.size, dtype=np.float64)
-    sorted_vals = merged[order]
-    i = 0
-    rank = 1.0
-    while i < merged.size:
-        j = i
-        while j + 1 < merged.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        midrank = (rank + rank + (j - i)) / 2.0
-        ranks[order[i:j + 1]] = midrank
-        rank += j - i + 1
-        i = j + 1
-    rank_sum = ranks[:bona.size].sum()
-    return (rank_sum - bona.size * (bona.size + 1) / 2.0) / (bona.size * attack.size)
+    attack = np.sort(attack)
+    below = np.searchsorted(attack, bona, side="left")
+    ties = np.searchsorted(attack, bona, side="right") - below
+    return float(below.sum() + 0.5 * ties.sum()) / (bona.size * attack.size)
 
 
 def youden_max(scores, labels) -> float:
     """Max over swept thresholds of TPR - FPR, bonafide as the positive class."""
     bona, attack = _split_scores(scores, labels)
     _require_both(bona, attack, "youden_max")
-    best = -np.inf
-    for tau in threshold_candidates(np.concatenate([bona, attack])):
-        tpr = np.count_nonzero(bona >= tau) / bona.size
-        fpr = np.count_nonzero(attack >= tau) / attack.size
-        best = max(best, tpr - fpr)
-    return best
+    _, acc_bona, acc_attack = _sweep(bona, attack)
+    return float(np.max(acc_bona / bona.size - acc_attack / attack.size))
 
 
 def apcer_bpcer(scores, labels, tau: float):

@@ -11,11 +11,12 @@ is trained without any autograd machinery.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict
 
 import numpy as np
 
-from . import ops
+from . import config, ops
+from .config import ModelConfig
 from .errors import ConfigError, DataError
 from .tensor import (
     activation,
@@ -55,29 +56,10 @@ STEM_WIDTH = 16
 FINAL_WIDTH = 960
 SE_RATIO = 4
 
-PLACEMENTS = ("begin", "end", "both", "none")
+# The head's two logits; `train.live_probability` reads their difference.
+NUM_CLASSES = 2
 
 CHECKPOINT_MAGIC = b"GICK"
-
-
-@dataclass
-class ModelConfig:
-    groups: int = 120
-    reduce: int = 4
-    gi_kernel: int = 5
-    placement: str = "end"
-    width_multiplier: float = 1.0
-    input_size: int = 256
-    num_classes: int = 2
-    label_smoothing: float = 0.05
-
-    def __post_init__(self):
-        if self.placement not in PLACEMENTS:
-            raise ConfigError(f"placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.gi_kernel % 2 == 0 or self.gi_kernel < 1:
-            raise ConfigError(f"gi_kernel must be odd and positive, got {self.gi_kernel}")
-        if self.input_size < 32:
-            raise ConfigError(f"input_size must be >= 32, got {self.input_size}")
 
 
 def make_divisible(v: float, divisor: int = 8) -> int:
@@ -499,7 +481,7 @@ def build_model(cfg: ModelConfig, rng=None) -> Model:
         ]
     layers += [
         ("pool", GlobalPool()),
-        ("head", Linear(final_ch, cfg.num_classes, rng=rng)),
+        ("head", Linear(final_ch, NUM_CLASSES, rng=rng)),
     ]
     return Model(cfg, layers, seed=seed)
 
@@ -572,6 +554,8 @@ def gradcam(model: Model, x, class_index: int):
 
     if x.shape[0] != 1:
         raise ConfigError(f"gradcam expects a single sample, got batch of {x.shape[0]}")
+    if class_index not in range(NUM_CLASSES):
+        raise ConfigError(f"class_index must be 0 or 1, got {class_index}")
     head = model.layers[-1][1]
     if not isinstance(head, Linear) or not isinstance(model.layers[-2][1], GlobalPool):
         raise ConfigError("gradcam requires a model ending in global pooling plus a linear head")
@@ -594,32 +578,6 @@ def gradcam(model: Model, x, class_index: int):
 # (name, offset, dims) entries, tensor containers, trailing 64-bit checksum.
 # ---------------------------------------------------------------------------
 
-def _config_text(cfg: ModelConfig, seed: int) -> str:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dc_fields(cfg)]
-    lines.append(f"seed = {seed}")
-    return "\n".join(lines) + "\n"
-
-
-_CFG_CONVERT = {
-    "groups": int, "reduce": int, "gi_kernel": int, "placement": str,
-    "width_multiplier": float, "input_size": int, "num_classes": int,
-    "label_smoothing": float,
-}
-
-
-def _parse_config_text(text: str):
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    seed = int(values.pop("seed", "0"))
-    kwargs = {name: conv(values[name]) for name, conv in _CFG_CONVERT.items() if name in values}
-    return ModelConfig(**kwargs), seed
-
-
 def _pad4(shape):
     dims = list(shape) + [1] * (4 - len(shape))
     return tuple(dims[:4])
@@ -636,7 +594,7 @@ def save_checkpoint(path, model: Model) -> None:
         manifest_lines.append(f"{name},{offset},{dims}")
         blobs.append(blob)
         offset += len(blob)
-    config_block = _config_text(model.cfg, model.seed).encode("utf-8")
+    config_block = config.dump({**asdict(model.cfg), "seed": model.seed}).encode("utf-8")
     manifest_block = ("\n".join(manifest_lines) + "\n").encode("utf-8")
     body = (CHECKPOINT_MAGIC
             + struct.pack("<I", len(config_block)) + config_block
@@ -661,16 +619,18 @@ def load_checkpoint(path) -> Model:
         pos = 4
         (clen,) = struct.unpack_from("<I", body, pos)
         pos += 4
-        cfg, seed = _parse_config_text(body[pos:pos + clen].decode("utf-8"))
+        values = config.parse(body[pos:pos + clen].decode("utf-8"), path)
+        cfg = config.build(ModelConfig, values)
+        seed = int(values.get("seed", "0"))
         pos += clen
         (mlen,) = struct.unpack_from("<I", body, pos)
         pos += 4
         manifest = [(parts[0], int(parts[1])) for parts in
                     (line.split(",") for line in body[pos:pos + mlen].decode("utf-8").splitlines())]
         pos += mlen
-    except (ValueError, IndexError, struct.error) as exc:
+        model = build_model(cfg, make_rng(seed))
+    except (ConfigError, ValueError, IndexError, struct.error) as exc:
         raise DataError(f"{path}: malformed checkpoint header: {exc}") from exc
-    model = build_model(cfg, make_rng(seed))
     model.seed = seed
     arrays = dict(model.parameters())
     arrays.update(dict(model.named_state()))

@@ -15,41 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TrainConfig
 from .data import load_frame_tensor, split_rows
 from .errors import ConfigError, InternalError
 from .net import Model, save_checkpoint
 from .tensor import derived_rng
 
 PROB_CLAMP = 1e-7
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience: int = 5
-    label_smoothing: float = 0.05
-    seed: int = 0
-    flip_prob: float = 0.5
-    precision: str = "double"
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.precision not in ("double", "single"):
-            raise ConfigError(f"precision must be double or single, got {self.precision!r}")
 
 
 @dataclass

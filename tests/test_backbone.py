@@ -57,6 +57,15 @@ class TestBuild:
         with pytest.raises(ConfigError):
             net.ModelConfig(placement="middle")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"width_multiplier": 0.0}, {"width_multiplier": -1.0},
+        {"width_multiplier": float("nan")}, {"width_multiplier": float("inf")},
+        {"groups": 0}, {"reduce": 0},
+    ])
+    def test_invalid_config_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            net.ModelConfig(**kwargs)
+
 
 class TestParamCount:
     def test_head_closed_form(self):

@@ -86,6 +86,14 @@ class TestTrain:
         assert rows[0] == ["epoch", "train_loss", "dev_loss", "dev_acc"]
         assert 2 <= len(rows) <= 101
 
+    def test_rerun_from_resolved_config(self, workspace, tmp_path):
+        # every model and trainer key goes through the config file reader
+        rundir, again = workspace["rundir"], tmp_path / "again"
+        proc = run_cli("train", "--config", str(rundir / "config.resolved"),
+                       "--outdir", str(again))
+        assert proc.returncode == 0, proc.stderr
+        assert (again / "history.csv").read_bytes() == (rundir / "history.csv").read_bytes()
+
     def test_divisibility_error_exit_2(self, workspace, tmp_path):
         proc = run_cli("train", "--manifest", str(workspace["dataset"] / "manifest.csv"),
                        "--outdir", str(tmp_path / "bad"), "--groups", "7",
@@ -300,10 +308,22 @@ class TestConfigHandling:
         assert "train = 4  # file" in resolved
         assert "patience = 5  # default" in resolved
 
+    def test_file_values_checked_like_flags(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        for line in ("threshold = sideways", "aggregate = all", "tau = nan", "lr = inf"):
+            cfg.write_text(line + "\n", encoding="utf-8")
+            proc = run_cli("synth", "--config", str(cfg), "--outdir", str(tmp_path / "o"))
+            assert proc.returncode == 2, line
+            assert "config error" in proc.stderr
 
 
-# Inputs that once escaped as raw tracebacks (exit 1), with the documented
-# exit code each must map to: 2 for configuration, 3 for data errors.
+
+# Inputs that once escaped as raw tracebacks (exit 1) or with a wrong exit
+# code, with the documented exit code each must map to: 2 for configuration,
+# 3 for data errors.
+TRAIN_ARGS = ["train", "--manifest", "{manifest}", *TRAIN_FLAGS]
+GRADCAM_ARGS = ["gradcam", "--checkpoint", "{ckpt}", "--image", "{image}"]
+BAD_CKPT_ARGS = ["eval", "--manifest", "{manifest}", "--checkpoint", "{tmp}/bad.ckpt"]
 BAD_INPUTS = {
     "empty_image": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"], b"", 3),
     "truncated_header": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"],
@@ -324,6 +344,28 @@ BAD_INPUTS = {
                                   (0, rb"groups = \S+", b"groups = xx"), 3),
     "checkpoint_offset_not_int": (["eval", "--manifest", "{manifest}",
                                    "--checkpoint", "{tmp}/bad.ckpt"], (1, rb",0,", b",zz,"), 3),
+    "checkpoint_placement_unknown": (BAD_CKPT_ARGS,
+                                     (0, rb"placement = \S+", b"placement = sideways"), 3),
+    "checkpoint_groups_indivisible": (BAD_CKPT_ARGS, (0, rb"groups = \S+", b"groups = 7"), 3),
+    "checkpoint_width_nan": (BAD_CKPT_ARGS,
+                             (0, rb"width_multiplier = \S+", b"width_multiplier = nan"), 3),
+    "lr_nan": ([*TRAIN_ARGS, "--lr", "nan"], None, 2),
+    "lr_inf": ([*TRAIN_ARGS, "--lr", "inf"], None, 2),
+    "width_multiplier_nan": ([*TRAIN_ARGS, "--width-multiplier", "nan"], None, 2),
+    "width_multiplier_inf": ([*TRAIN_ARGS, "--width-multiplier", "inf"], None, 2),
+    # 8 groups divide the 8 channels that a width of 0 or -1 once silently built
+    "width_multiplier_0": ([*TRAIN_ARGS, "--groups", "8", "--width-multiplier", "0"], None, 2),
+    "width_multiplier_negative": ([*TRAIN_ARGS, "--groups", "8", "--width-multiplier", "-1"],
+                                  None, 2),
+    "groups_0": ([*TRAIN_ARGS, "--groups", "0"], None, 2),
+    "synth_size_0": (["synth", "--train", "1", "--dev", "1", "--test", "1", "--size", "0"],
+                     None, 2),
+    "tau_nan": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+                 "--threshold", "fixed", "--tau", "nan"], None, 2),
+    "class_index_2": ([*GRADCAM_ARGS, "--class-index", "2"], None, 2),
+    "class_index_negative": ([*GRADCAM_ARGS, "--class-index", "-1"], None, 2),
+    "max_samples_negative": (["audit", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+                              "--max-samples", "-1"], None, 2),
 }
 
 
@@ -351,7 +393,8 @@ def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
         raw = (workspace["rundir"] / "model.ckpt").read_bytes()
         (tmp_path / "bad.ckpt").write_bytes(edit_checkpoint(raw, *payload))
     subs = {"tmp": tmp_path, "manifest": workspace["dataset"] / "manifest.csv",
-            "ckpt": workspace["rundir"] / "model.ckpt"}
+            "ckpt": workspace["rundir"] / "model.ckpt",
+            "image": next((workspace["dataset"] / "test").glob("*.ppm"))}
     argv = [a.format(**subs) for a in argv] + ["--outdir", str(tmp_path / "out")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err

@@ -51,6 +51,15 @@ class TestAdam:
             assert params["w"][0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"adam_eps": 0.0},
+    {"beta1": 1.0}, {"beta2": 1.0}, {"label_smoothing": float("nan")}, {"precision": "half"},
+])
+def test_invalid_train_config_rejected(kwargs):
+    with pytest.raises(ConfigError):
+        train.TrainConfig(**kwargs)
+
+
 class TestEarlyStopping:
     def test_forced_trace(self):
         losses = [1.0, 0.9, 0.95, 0.96, 0.97, 0.98, 0.99]
