@@ -1,8 +1,8 @@
 """Forensics on the generated kernels: spectral and spatial indicators,
 class-wise aggregates, and effect sizes.
 
-Four per-sample indicators are computed from the kernel field captured at
-the end-placement adaptive block (batch norm in infer mode):
+Four per-sample indicators are computed from the kernel field that the
+end-placement adaptive block generates (batch norm in infer mode):
 
 * hf_lf: spectral energy outside the low-frequency disc (integer frequency
   radius <= 1, DC included) divided by the energy inside it;
@@ -155,7 +155,7 @@ class AuditReport:
 
 
 def sample_stats(field_arr: np.ndarray) -> KernelStats:
-    """Indicators for one captured field (single sample)."""
+    """Indicators for one generated field (single sample)."""
     mean_kernel = field_arr.mean(axis=(0, 1, 4, 5))
     return KernelStats(
         hf_lf=hf_lf_ratio(mean_kernel),
@@ -172,12 +172,13 @@ def _finite(values):
 
 def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
               export_field_path=None) -> AuditReport:
-    """Capture kernel fields over a manifest split and aggregate indicators.
+    """Generate kernel fields over a manifest split and aggregate indicators.
 
-    Per sample, the field of the end-placement adaptive block is captured in
-    infer mode; statistics are aggregated per class with Cohen's d reported
-    as attack minus bonafide. Samples whose HF/LF overflows are excluded
-    from that indicator's aggregates and counted separately.
+    Per sample, the model runs in infer mode up to the end-placement adaptive
+    block, whose kernel generator then gives the field; statistics are
+    aggregated per class with Cohen's d reported as attack minus bonafide.
+    Samples whose HF/LF overflows are excluded from that indicator's
+    aggregates and counted separately.
     """
     from .data import load_frame_tensor
 
@@ -195,8 +196,7 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
     exported = False
     for row in chosen:
         x = load_frame_tensor(data_root, row, model.cfg.input_size)[None]
-        model.forward(x, train=False, record=False, capture_fields=True)
-        fld = model.end_gi.last_field
+        fld, _ = model.end_gi.field(model.forward(x, until=model.end_gi))
         if export_field_path is not None and not exported:
             export_kernel_field(export_field_path, fld)
             exported = True

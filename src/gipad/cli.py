@@ -22,10 +22,8 @@ from .config import (SPLITS, ModelConfig, Setting, SynthSpec, TrainConfig, conve
                      parse, settings)
 from .errors import ConfigError, DataError, GipadError, InternalError
 
-# The config objects' settings come from their dataclasses; the trainer's
-# augmentation probability is not settable.
-OBJECT_SETTINGS = {cls: settings(cls, skip=("flip_prob",))
-                   for cls in (ModelConfig, TrainConfig, SynthSpec)}
+# The config objects' settings come from their dataclasses.
+OBJECT_SETTINGS = {cls: settings(cls) for cls in (ModelConfig, TrainConfig, SynthSpec)}
 SETTINGS = {
     **{key: s for group in OBJECT_SETTINGS.values() for key, s in group.items()},
     # settings that belong to no config object

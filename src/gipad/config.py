@@ -18,6 +18,13 @@ PLACEMENTS = ("begin", "end", "both", "none")
 PRECISIONS = ("double", "single")
 SPLITS = ("train", "dev", "test")
 
+# Upper bounds of the model a configuration can describe, far above every
+# documented one (width 1.0, k 5, input 512 in the flops grid): a larger
+# value would only ask for more memory than a host has.
+MAX_WIDTH_MULTIPLIER = 4.0
+MAX_GI_KERNEL = 11
+MAX_INPUT_SIZE = 2048
+
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -28,10 +35,9 @@ class Setting(NamedTuple):
     choices: tuple | None = None
 
 
-def settings(cls, skip=()) -> dict:
+def settings(cls) -> dict:
     """{name: Setting} for the fields of the config dataclass `cls`."""
-    return {f.name: Setting(f.type, f.default, f.metadata.get("choices"))
-            for f in fields(cls) if f.name not in skip}
+    return {f.name: Setting(f.type, f.default, f.metadata.get("choices")) for f in fields(cls)}
 
 
 def _check(name, value, choices=None):
@@ -84,12 +90,15 @@ class ModelConfig:
         if self.groups < 1 or self.reduce < 1:
             raise ConfigError(f"groups and reduce must be >= 1, got {self.groups} "
                               f"and {self.reduce}")
-        if self.gi_kernel % 2 == 0 or self.gi_kernel < 1:
-            raise ConfigError(f"gi_kernel must be odd and positive, got {self.gi_kernel}")
-        if self.width_multiplier <= 0:
-            raise ConfigError(f"width_multiplier must be positive, got {self.width_multiplier}")
-        if self.input_size < 32:
-            raise ConfigError(f"input_size must be >= 32, got {self.input_size}")
+        if self.gi_kernel % 2 == 0 or not 1 <= self.gi_kernel <= MAX_GI_KERNEL:
+            raise ConfigError(f"gi_kernel must be odd and in [1, {MAX_GI_KERNEL}], "
+                              f"got {self.gi_kernel}")
+        if not 0 < self.width_multiplier <= MAX_WIDTH_MULTIPLIER:
+            raise ConfigError(f"width_multiplier must be in (0, {MAX_WIDTH_MULTIPLIER}], "
+                              f"got {self.width_multiplier}")
+        if not 32 <= self.input_size <= MAX_INPUT_SIZE:
+            raise ConfigError(f"input_size must be in [32, {MAX_INPUT_SIZE}], "
+                              f"got {self.input_size}")
 
 
 @dataclass
@@ -103,7 +112,6 @@ class TrainConfig:
     patience: int = 5
     label_smoothing: float = 0.05
     seed: int = 0
-    flip_prob: float = 0.5
     precision: str = field(default="double", metadata={"choices": PRECISIONS})
 
     def __post_init__(self):

@@ -2,10 +2,12 @@
 layout, with a group-involution block inserted at the stem and/or just
 before global average pooling, followed by a two-logit linear head.
 
-Layers hold their parameters in a `params` dict with a parallel `grads`
-dict; non-learnable state (batch-norm running statistics) lives in `state`.
-Backward passes are hand-derived and run in reverse layer order, so a model
-is trained without any autograd machinery.
+Layers are thin wrappers over the functional ops in `tensor` and `ops`: each
+holds its parameters in a `params` dict, non-learnable state (batch-norm
+running statistics) in `state`, and the context of its last recorded forward
+pass. Backward passes are hand-derived and run in reverse layer order; each
+writes its parameter gradients into the parallel `grads` dict, so a model is
+trained without any autograd machinery.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class Layer:
     def zero_grads(self):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _accumulate(self, key, value):
-        if key not in self.grads:
-            self.grads[key] = np.zeros_like(self.params[key])
-        self.grads[key] += value
-
     def forward(self, x, train=False, record=None):
         raise NotImplementedError
 
@@ -121,8 +118,7 @@ class Conv(Layer):
         return y
 
     def backward(self, grad_y):
-        grad_x, grad_k, _ = ops.conv2d_backward(grad_y, self._ctx)
-        self._accumulate("kernel", grad_k)
+        grad_x, self.grads["kernel"], _ = ops.conv2d_backward(grad_y, self._ctx)
         return grad_x
 
 
@@ -142,10 +138,10 @@ class Pointwise(Layer):
         return pointwise_conv(x, self.params["w"], self.params.get("b"))
 
     def backward(self, grad_y):
-        grad_x, grad_w, grad_b = pointwise_conv_backward(grad_y, self._ctx, self.params["w"])
-        self._accumulate("w", grad_w)
+        grad_x, self.grads["w"], grad_b = pointwise_conv_backward(
+            grad_y, self._ctx, self.params["w"])
         if "b" in self.params:
-            self._accumulate("b", grad_b)
+            self.grads["b"] = grad_b
         return grad_x
 
 
@@ -168,9 +164,7 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, grad_y):
-        grad_x, grad_gamma, grad_beta = batch_norm_backward(grad_y, self._ctx)
-        self._accumulate("gamma", grad_gamma)
-        self._accumulate("beta", grad_beta)
+        grad_x, self.grads["gamma"], self.grads["beta"] = batch_norm_backward(grad_y, self._ctx)
         return grad_x
 
 
@@ -202,28 +196,25 @@ class SqueezeExcite(Layer):
 
     def forward(self, x, train=False, record=None):
         record = train if record is None else record
-        z = x.mean(axis=(2, 3))
-        h1 = z @ self.params["w1"].T + self.params["b1"]
+        z = global_avg_pool(x)
+        h1 = pointwise_conv(z, self.params["w1"], self.params["b1"])
         a1 = activation(h1, "relu")
-        h2 = a1 @ self.params["w2"].T + self.params["b2"]
+        h2 = pointwise_conv(a1, self.params["w2"], self.params["b2"])
         gate = activation(h2, "hardsigmoid")
         self._ctx = (x, z, h1, a1, h2, gate) if record else None
-        return x * gate[:, :, None, None]
+        return x * gate
 
     def backward(self, grad_y):
         x, z, h1, a1, h2, gate = self._ctx
-        hw = x.shape[2] * x.shape[3]
-        grad_gate = (grad_y * x).sum(axis=(2, 3))
-        grad_x = grad_y * gate[:, :, None, None]
+        grad_gate = (grad_y * x).sum(axis=(2, 3), keepdims=True)
         grad_h2 = grad_gate * activation_grad(h2, "hardsigmoid")
-        self._accumulate("w2", grad_h2.T @ a1)
-        self._accumulate("b2", grad_h2.sum(axis=0))
-        grad_a1 = grad_h2 @ self.params["w2"]
+        grad_a1, self.grads["w2"], self.grads["b2"] = pointwise_conv_backward(
+            grad_h2, a1, self.params["w2"])
         grad_h1 = grad_a1 * activation_grad(h1, "relu")
-        self._accumulate("w1", grad_h1.T @ z)
-        self._accumulate("b1", grad_h1.sum(axis=0))
-        grad_z = grad_h1 @ self.params["w1"]
-        grad_x += grad_z[:, :, None, None] / hw
+        grad_z, self.grads["w1"], self.grads["b1"] = pointwise_conv_backward(
+            grad_h1, z, self.params["w1"])
+        grad_x = grad_y * gate
+        grad_x += global_avg_pool_backward(grad_z, x.shape[2:])
         return grad_x
 
 
@@ -252,7 +243,6 @@ class GroupInvolution(Layer):
         self.params["expand_b"] = np.tile(delta, groups)
         self.state["running_mean"] = np.zeros(squeezed)
         self.state["running_var"] = np.ones(squeezed)
-        self.last_field = None
 
     def _generator_params(self):
         return ops.GeneratorParams(
@@ -262,28 +252,29 @@ class GroupInvolution(Layer):
             expand_w=self.params["expand_w"], expand_b=self.params["expand_b"],
             k=self.k, groups=self.groups, reduce=self.reduce)
 
-    def forward(self, x, train=False, record=None, capture=False):
-        record = train if record is None else record
-        gen = self._generator_params()
-        field, gen_ctx, new_mean, new_var = ops.generate_kernels(x, gen, train, record=record)
+    def field(self, x, train=False, record=False):
+        """(kernel field generated from x, generator context); train mode
+        updates the generator's batch-norm running statistics."""
+        fld, gen_ctx, new_mean, new_var = ops.generate_kernels(
+            x, self._generator_params(), train, record=record)
         if train:
             self.state["running_mean"] = new_mean
             self.state["running_var"] = new_var
-        if capture:
-            self.last_field = field
-        gmap = ops.GroupMap(self.c, self.groups)
-        y, gi_ctx = ops.group_involution_forward(x, field, gmap)
+        return fld, gen_ctx
+
+    def forward(self, x, train=False, record=None):
+        record = train if record is None else record
+        fld, gen_ctx = self.field(x, train, record)
+        y, gi_ctx = ops.group_involution_forward(x, fld, ops.GroupMap(self.c, self.groups))
         self._ctx = (gen_ctx, gi_ctx) if record else None
         return y
 
     def backward(self, grad_y):
         gen_ctx, gi_ctx = self._ctx
         grad_x, grad_field = ops.gi_backward(grad_y, gi_ctx)
-        grad_x_gen, grads = ops.generate_kernels_backward(grad_field, gen_ctx)
+        grad_x_gen, self.grads = ops.generate_kernels_backward(grad_field, gen_ctx)
         # the input feeds both the windows and the generator
         grad_x += grad_x_gen
-        for key, val in grads.items():
-            self._accumulate(key, val)
         return grad_x
 
 
@@ -307,15 +298,13 @@ class Linear(Layer):
 
     def forward(self, x, train=False, record=None):
         record = train if record is None else record
-        z = x.reshape(x.shape[0], -1)
-        self._ctx = z if record else None
-        return z @ self.params["w"].T + self.params["b"]
+        self._ctx = x if record else None
+        return pointwise_conv(x, self.params["w"], self.params["b"]).reshape(x.shape[0], -1)
 
     def backward(self, grad_y):
-        self._accumulate("w", grad_y.T @ self._ctx)
-        self._accumulate("b", grad_y.sum(axis=0))
-        grad_z = grad_y @ self.params["w"]
-        return grad_z[:, :, None, None]
+        grad_x, self.grads["w"], self.grads["b"] = pointwise_conv_backward(
+            grad_y[:, :, None, None], self._ctx, self.params["w"])
+        return grad_x
 
 
 class Block:
@@ -366,7 +355,6 @@ class Model:
         self.seed = seed
         self.begin_gi = None
         self.end_gi = None
-        self.last_pre_gap = None
         for name, layer in self.layers:
             if isinstance(layer, GroupInvolution):
                 if name.startswith("gi_begin"):
@@ -410,19 +398,18 @@ class Model:
             leaf.state = {k: v.astype(dtype) for k, v in leaf.state.items()}
         return self
 
-    def forward(self, x, train=False, record=None, capture_fields=False):
+    def forward(self, x, train=False, record=None, until=None):
+        """Logits for x; with `until` set to one of `layers`, the input of
+        that layer instead."""
         if self.cfg is not None and x.shape[2:] != (self.cfg.input_size, self.cfg.input_size):
             raise ConfigError(
                 f"model built for {self.cfg.input_size}x{self.cfg.input_size} input, "
                 f"got {x.shape[2]}x{x.shape[3]}")
         y = x
         for _, layer in self.layers:
-            if isinstance(layer, GlobalPool):
-                self.last_pre_gap = y
-            if isinstance(layer, GroupInvolution):
-                y = layer.forward(y, train=train, record=record, capture=capture_fields)
-            else:
-                y = layer.forward(y, train=train, record=record)
+            if layer is until:
+                break
+            y = layer.forward(y, train=train, record=record)
         return y
 
     def backward(self, grad_logits):
@@ -556,11 +543,10 @@ def gradcam(model: Model, x, class_index: int):
         raise ConfigError(f"gradcam expects a single sample, got batch of {x.shape[0]}")
     if class_index not in range(NUM_CLASSES):
         raise ConfigError(f"class_index must be 0 or 1, got {class_index}")
-    head = model.layers[-1][1]
-    if not isinstance(head, Linear) or not isinstance(model.layers[-2][1], GlobalPool):
+    (_, pool), (_, head) = model.layers[-2:]
+    if not isinstance(head, Linear) or not isinstance(pool, GlobalPool):
         raise ConfigError("gradcam requires a model ending in global pooling plus a linear head")
-    model.forward(x, train=False, record=False)
-    amap = model.last_pre_gap[0]
+    amap = model.forward(x, train=False, record=False, until=pool)[0]
     h, w = amap.shape[1:]
     weights = head.params["w"][class_index] / (h * w)
     cam = np.maximum(np.einsum("c,chw->hw", weights, amap), 0.0)

@@ -70,7 +70,7 @@ class ConvWeights:
 
 @dataclass(frozen=True)
 class GroupMap:
-    """Contiguous channel-to-group partition: group_of(c) = c // (C // G)."""
+    """Contiguous channel-to-group partition: channel c is in group c // (C // G)."""
     channels: int
     groups: int
 
@@ -78,13 +78,6 @@ class GroupMap:
         if self.channels % self.groups != 0:
             raise ConfigError(
                 f"channels {self.channels} not divisible by groups {self.groups}")
-
-    @property
-    def group_size(self) -> int:
-        return self.channels // self.groups
-
-    def group_of(self, c: int) -> int:
-        return c // self.group_size
 
 
 @dataclass
@@ -352,19 +345,17 @@ def layer_flops(layer: dict, input_shape) -> int:
     if kind == "pointwise":
         return MAC_FLOPS * h * w * c * layer["c_out"]
     k = layer["k"]
-    if kind == "conv":
+    if kind in ("conv", "depthwise"):
+        # depthwise: one group per channel, c_out = c
+        if kind == "depthwise":
+            c_out, groups = c, c
+        else:
+            c_out, groups = layer["c_out"], layer.get("groups", 1)
         stride = layer.get("stride", 1)
         pad = layer.get("pad", k // 2)
-        groups = layer.get("groups", 1)
         h_out = _out_size(h, k, stride, pad)
         w_out = _out_size(w, k, stride, pad)
-        return MAC_FLOPS * h_out * w_out * layer["c_out"] * (c // groups) * k * k
-    if kind == "depthwise":
-        stride = layer.get("stride", 1)
-        pad = layer.get("pad", k // 2)
-        h_out = _out_size(h, k, stride, pad)
-        w_out = _out_size(w, k, stride, pad)
-        return MAC_FLOPS * h_out * w_out * c * k * k
+        return MAC_FLOPS * h_out * w_out * c_out * (c // groups) * k * k
     # involution / gi: generator cost plus the spatial application term,
     # which is linear in each of c, k*k, h and w.
     groups = layer["groups"] if kind == "gi" else 1

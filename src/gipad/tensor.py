@@ -68,20 +68,29 @@ def crop_pad(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
-    """1x1 convolution: y[n,o,i,j] = bias[o] + sum_c weights[o,c] * x[n,c,i,j]."""
-    if weights.ndim != 2 or weights.shape[1] != x.shape[1]:
+    """1x1 convolution: y[n,o,i,j] = bias[o] + sum_c weights[o,c] * x[n,c,i,j].
+
+    The package's one affine map: every 1x1 convolution, squeeze-excitation
+    and the linear head (on pooled (n, c, 1, 1) maps) call it. Each call is
+    one 2-D matmul of x's channels-last (n*h*w, c) matrix with weights.T,
+    whatever the batch and map size; y is an NCHW view of that product."""
+    n, c, h, w = x.shape
+    if weights.ndim != 2 or weights.shape[1] != c:
         raise ConfigError(
-            f"pointwise weights {weights.shape} do not match {x.shape[1]} input channels")
-    y = np.einsum("oc,nchw->nohw", weights, x, optimize=True)
+            f"pointwise weights {weights.shape} do not match {c} input channels")
+    y = np.matmul(x.transpose(0, 2, 3, 1).reshape(-1, c), weights.T)
     if bias is not None:
-        y += bias[None, :, None, None]
-    return y
+        y += bias
+    return y.reshape(n, h, w, -1).transpose(0, 3, 1, 2)
 
 
 def pointwise_conv_backward(grad_y, x, weights):
-    """Adjoint of pointwise_conv; returns (grad_x, grad_weights, grad_bias)."""
-    grad_x = np.einsum("oc,nohw->nchw", weights, grad_y, optimize=True)
-    grad_w = np.einsum("nohw,nchw->oc", grad_y, x, optimize=True)
+    """Adjoint of pointwise_conv; returns (grad_x, grad_weights, grad_bias),
+    the first two each one matmul over the channels-last matrices."""
+    n, c, h, w = x.shape
+    gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, weights.shape[0])
+    grad_x = np.matmul(gy, weights).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    grad_w = np.matmul(x.transpose(1, 0, 2, 3).reshape(c, -1), gy).T
     grad_b = grad_y.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 

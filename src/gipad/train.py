@@ -22,6 +22,8 @@ from .net import Model, save_checkpoint
 from .tensor import derived_rng
 
 PROB_CLAMP = 1e-7
+# Each training image is mirrored left-right with this probability per epoch.
+FLIP_PROB = 0.5
 
 
 @dataclass
@@ -188,7 +190,7 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_split))
-        flips = rng.random(len(train_split)) < cfg.flip_prob
+        flips = rng.random(len(train_split)) < FLIP_PROB
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -199,7 +201,6 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
             loss, grad_logits = loss_and_logit_grad(logits, y_train[idx], cfg.label_smoothing)
             if not np.isfinite(loss):
                 raise InternalError(f"non-finite training loss at epoch {epoch}")
-            model.zero_grads()
             model.backward(grad_logits.astype(dtype))
             adam_step(params, dict(model.gradients()), opt, cfg)
             epoch_loss += loss * len(idx)

@@ -4,7 +4,7 @@ checkpoints, and Grad-CAM."""
 import numpy as np
 import pytest
 
-from gipad import net, tensor
+from gipad import config, net, ops, tensor
 from gipad.errors import ConfigError, DataError
 
 from oracles import reference_forward
@@ -61,10 +61,17 @@ class TestBuild:
         {"width_multiplier": 0.0}, {"width_multiplier": -1.0},
         {"width_multiplier": float("nan")}, {"width_multiplier": float("inf")},
         {"groups": 0}, {"reduce": 0},
+        {"width_multiplier": 1e9}, {"width_multiplier": 4.5},
+        {"gi_kernel": 13}, {"input_size": 4096},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             net.ModelConfig(**kwargs)
+
+    def test_largest_config_accepted(self):
+        cfg = net.ModelConfig(width_multiplier=config.MAX_WIDTH_MULTIPLIER,
+                              gi_kernel=config.MAX_GI_KERNEL, input_size=config.MAX_INPUT_SIZE)
+        assert cfg.input_size == 2048
 
 
 class TestParamCount:
@@ -180,6 +187,26 @@ class TestForward:
             bn.state[key] = bn.state[key][perm]
         head.params["w"] = head.params["w"][:, perm]
         np.testing.assert_allclose(model.forward(x), base, atol=1e-12)
+
+
+class TestForwardUntil:
+    def test_stops_before_the_given_layer(self):
+        model = net.build_model(tiny_cfg(), tensor.make_rng(30))
+        x = np.random.default_rng(30).standard_normal((2, 3, 32, 32))
+        (_, pool), (_, head) = model.layers[-2:]
+        features = model.forward(x, until=pool)
+        assert features.shape == (2, 240, 1, 1)
+        np.testing.assert_array_equal(head.forward(pool.forward(features)), model.forward(x))
+
+    def test_generated_field_is_the_applied_one(self):
+        model = net.build_model(tiny_cfg(), tensor.make_rng(31))
+        gi = model.end_gi
+        gi.params["expand_w"][...] = np.random.default_rng(31).standard_normal(
+            gi.params["expand_w"].shape) * 0.1
+        x = model.forward(np.random.default_rng(32).standard_normal((1, 3, 32, 32)), until=gi)
+        fld, _ = gi.field(x)
+        applied, _ = ops.group_involution_forward(x, fld, ops.GroupMap(gi.c, gi.groups))
+        np.testing.assert_array_equal(applied, gi.forward(x))
 
 
 class TestCheckpoint:

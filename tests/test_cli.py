@@ -349,6 +349,10 @@ BAD_INPUTS = {
     "checkpoint_groups_indivisible": (BAD_CKPT_ARGS, (0, rb"groups = \S+", b"groups = 7"), 3),
     "checkpoint_width_nan": (BAD_CKPT_ARGS,
                              (0, rb"width_multiplier = \S+", b"width_multiplier = nan"), 3),
+    # a width that once reached numpy's allocator (MemoryError, exit 1)
+    "checkpoint_width_huge": (BAD_CKPT_ARGS,
+                              (0, rb"width_multiplier = \S+", b"width_multiplier = 1e9"), 3),
+    "width_multiplier_huge": ([*TRAIN_ARGS, "--width-multiplier", "1e9"], None, 2),
     "lr_nan": ([*TRAIN_ARGS, "--lr", "nan"], None, 2),
     "lr_inf": ([*TRAIN_ARGS, "--lr", "inf"], None, 2),
     "width_multiplier_nan": ([*TRAIN_ARGS, "--width-multiplier", "nan"], None, 2),

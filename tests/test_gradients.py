@@ -309,6 +309,24 @@ class TestLossGradients:
         assert max_rel_err(grad, numeric) < 1e-6
 
 
+class TestBackwardWritesGradients:
+    def test_repeated_backward_gives_equal_gradients(self):
+        # each backward writes its gradients: a second call on the same
+        # recorded forward, without zero_grads, leaves them unchanged
+        cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24,
+                              placement="both")
+        model = net.build_model(cfg, tensor.make_rng(24))
+        rng = np.random.default_rng(25)
+        logits = model.forward(rng.standard_normal((2, 3, 32, 32)), train=True)
+        _, gl = train.loss_and_logit_grad(logits, np.array([1.0, 0.0]), 0.05)
+        first_gx = model.backward(gl)
+        first = {name: arr.copy() for name, arr in model.gradients()}
+        assert set(first) == {name for name, _ in model.parameters()}
+        np.testing.assert_array_equal(model.backward(gl), first_gx)
+        for name, arr in model.gradients():
+            np.testing.assert_array_equal(arr, first[name], err_msg=name)
+
+
 class TestEndToEnd:
     def test_tiny_model_loss_gradients(self):
         # batch norm on running statistics (infer mode) per the verification

@@ -68,6 +68,74 @@ class TestPointwiseConv:
             tensor.pointwise_conv(np.zeros((1, 3, 2, 2)), np.zeros((2, 4)))
 
 
+def pointwise_backward_sums(grad_y, x, w):
+    """pointwise_conv_backward by explicit sums over every index."""
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(o)
+    for ni in range(n):
+        for i in range(h):
+            for j in range(wd):
+                for oi in range(o):
+                    gb[oi] += grad_y[ni, oi, i, j]
+                    for ci in range(c):
+                        gx[ni, ci, i, j] += w[oi, ci] * grad_y[ni, oi, i, j]
+                        gw[oi, ci] += grad_y[ni, oi, i, j] * x[ni, ci, i, j]
+    return gx, gw, gb
+
+
+def field_ordered_grad(rng, n, groups, k, h, w):
+    """A (n, G*k*k, h, w) gradient stored in (n, h, w, G, k, k) order, the
+    layout of the field gradient that gi_backward hands the generator."""
+    stored = rng.standard_normal((n, h, w, groups, k, k))
+    return stored.transpose(0, 3, 4, 5, 1, 2).reshape(n, groups * k * k, h, w)
+
+
+class TestPointwiseConvBackward:
+    # (x shape, output channels, gradient layout)
+    CASES = {
+        "contiguous": ((2, 3, 4, 5), 4, "c"),
+        "field_ordered": ((2, 5, 3, 4), 2 * 3 * 3, "field"),
+        "pooled": ((3, 6, 1, 1), 4, "c"),
+    }
+
+    def _case(self, name, seed):
+        shape, o, layout = self.CASES[name]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((o, shape[1]))
+        n, _, h, wd = shape
+        if layout == "field":
+            gy = field_ordered_grad(rng, n, 2, 3, h, wd)
+            assert not gy.flags.c_contiguous
+        else:
+            gy = rng.standard_normal((n, o, h, wd))
+        return x, w, gy
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_explicit_sums(self, name):
+        x, w, gy = self._case(name, 40)
+        for got, want in zip(tensor.pointwise_conv_backward(gy, x, w),
+                             pointwise_backward_sums(gy, x, w)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_adjoint_identities(self, name):
+        x, w, gy = self._case(name, 41)
+        b = np.random.default_rng(42).standard_normal(w.shape[0])
+        gx, gw, gb = tensor.pointwise_conv_backward(gy, x, w)
+        y = tensor.pointwise_conv(x, w)
+        lhs = float((y * gy).sum())
+        # y is linear in x and in w separately; the bias enters as a constant map
+        assert abs(lhs - float((x * gx).sum())) <= 1e-12 * abs(lhs)
+        assert abs(lhs - float((w * gw).sum())) <= 1e-12 * abs(lhs)
+        bias_part = float(((tensor.pointwise_conv(x, w, b) - y) * gy).sum())
+        assert abs(bias_part - float((b * gb).sum())) <= 1e-12 * abs(bias_part)
+
+
 class TestGlobalAvgPool:
     def test_constant(self):
         y = tensor.global_avg_pool(np.full((2, 3, 4, 4), 2.5))
