@@ -234,6 +234,9 @@ def cmd_flops(args):
     grids = [[convert(key, tok.strip(), SETTINGS[key])
               for tok in values[grid].split(",") if tok.strip()] or [values[key]]
              for key, grid in axes.items()]
+    # a value ModelConfig rejects exits 2 here; only points that fail to build get error rows
+    points = [(point, make(ModelConfig, {**values, **dict(zip(axes, point))}))
+              for point in itertools.product(*grids)]
 
     out_path = os.path.join(values["outdir"], "flops.csv")
     wrote = 0
@@ -242,10 +245,9 @@ def cmd_flops(args):
         writer.writerow(["groups", "reduce", "placement", "input_size",
                          "params", "flops", "params_m", "gflops",
                          "ref_params_m", "ref_gflops", "status"])
-        for point in itertools.product(*grids):
+        for point, cfg in points:
             row = list(point)
             try:
-                cfg = make(ModelConfig, {**values, **dict(zip(axes, point))})
                 model = build_model(cfg, make_rng(0))
                 params = param_count(model)
                 flops = model_flops(model, cfg.input_size)
@@ -329,7 +331,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # readers wrap their OSErrors as DataError, so one that reaches here is
+        # an output that could not be written, such as an unwritable --outdir
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

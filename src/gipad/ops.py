@@ -6,17 +6,16 @@ stride 1 with "same" padding; strided downsampling stays with plain
 convolution. A kernel field is a rank-6 array H[n, g, u, v, i, j]: one k x k
 kernel per (sample, group, position), shared by every channel of its group.
 
-Depthwise conv and group involution (GI) share one tap engine over the padded
-input viewed as (n, G, S, h, w). Its weights broadcast as per-channel kernels
-(1, C, k, k, 1, 1) for depthwise conv or as the field (n, G, k, k, h, w) for
-GI. Taps reading only padding are skipped: 16 of 25 for k = 5 on 2 x 2 maps.
-
-The engine stores the padded input, output, buffer and input gradient
-channels-last, as (n, h, w, S, G), and the weights as (k, k, n, h, w, G), so
-numpy's innermost loop runs over groups instead of a short output row (2 to 8
-elements on the desk's small maps). Only strides change: the logical shapes,
-tap order and results are those of the NCHW views; y is C-contiguous NCHW, and
-grad_x is the NCHW crop of the padded input gradient, not copied.
+Per-channel filtering runs on one tap engine over the padded input viewed as
+(n, G, S, h, w): depthwise conv with weights (1, C, k, k, 1, 1), GI with the
+field (n, G, k, k, h, w). It skips taps that read only padding (16 of 25 for
+k = 5 on 2 x 2 maps) and stores its arrays channels-last, as (n, h, w, S, G)
+and (k, k, n, h, w, G), so numpy's innermost loop runs over groups instead
+of a short output row; logical shapes, tap order and results are the NCHW
+ones. Channel mixing (the stem and every other non-depthwise conv, grouped
+included) is im2col plus tensor.pointwise_conv with the block-diagonal
+(c_out, c_in*k*k) kernel matrix; its adjoint is pointwise_conv_backward plus
+a col2im scatter over the taps.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InternalError
 from .tensor import (
@@ -113,11 +113,11 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
-def _live_taps(xg, k, stride, pad, out_hw):
-    """Window index of every tap (u, v) whose strided window over the padded
-    xg reads at least one input cell; the other taps read only padding."""
+def _live_taps(padded_hw, k, stride, pad, out_hw):
+    """Window index of every tap (u, v) whose strided window over a map of padded
+    spatial shape padded_hw reads an input cell; the other taps read only padding."""
     axes = []
-    for padded, out in zip(xg.shape[3:], out_hw):
+    for padded, out in zip(padded_hw, out_hw):
         # live if the first read past the leading pad comes before the trailing pad
         first = [(u, max(0, -((u - pad) // stride))) for u in range(k)]
         axes.append([(u, slice(u, u + stride * out, stride)) for u, i in first
@@ -138,7 +138,7 @@ def _tap_forward(x, wt, stride, pad, out_hw):
     # zeros_like keeps the memory order of xg
     y = np.zeros_like(xg, dtype=np.result_type(xg, wt), shape=xg.shape[:3] + tuple(out_hw))
     buf = np.empty_like(y)
-    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, out_hw):
+    for u, v, win in _live_taps(xg.shape[3:], wt.shape[2], stride, pad, out_hw):
         np.multiply(wt[:, :, None, u, v], xg[win], out=buf)
         y += buf
     del buf  # before the NCHW copy of y, which would otherwise raise peak memory
@@ -161,13 +161,20 @@ def _tap_adjoint(grad_y, xg, wt, stride, pad):
     # sum over the axes along which wt broadcasts, keep the others
     dims = (wt.shape[0], wt.shape[1], wt.shape[4], wt.shape[5])
     spec = "ngshw,ngshw->" + "".join(a for a, d in zip("nghw", dims) if d > 1 or a == "g")
-    for u, v, win in _live_taps(xg, wt.shape[2], stride, pad, gy.shape[3:]):
+    for u, v, win in _live_taps(xg.shape[3:], wt.shape[2], stride, pad, gy.shape[3:]):
         tap = grad_wt[:, :, u, v]
         tap[...] = np.einsum(spec, gy, xg[win]).reshape(tap.shape)
         np.multiply(wt[:, :, None, u, v], gy, out=buf)
         grad_xg[win] += buf
     grad_x = grad_xg[..., pad:hp - pad, pad:wp - pad].reshape(n, g * s, hp - 2 * pad, wp - 2 * pad)
     return grad_x, grad_wt
+
+
+def _kernel_matrix(weights: ConvWeights):
+    """Grouped kernel as one (c_out, c_in*k*k) matrix, zero off the group blocks."""
+    g = weights.groups
+    blocks = weights.kernel.reshape(g, weights.c_out // g, 1, -1)
+    return (blocks * np.eye(g, dtype=blocks.dtype)[:, None, :, None]).reshape(weights.c_out, -1)
 
 
 def _is_depthwise(weights: ConvWeights, c_in: int) -> bool:
@@ -177,14 +184,14 @@ def _is_depthwise(weights: ConvWeights, c_in: int) -> bool:
 def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     """Grouped 2-D convolution with zero padding.
 
-    Returns (y, ctx); ctx feeds conv2d_backward. Depthwise shapes (one group
-    per channel, multiplier 1) run on the tap engine.
+    Returns (y, ctx); ctx feeds conv2d_backward and holds the padded input
+    (depthwise: one group per channel, multiplier 1, on the tap engine) or the
+    im2col patch matrix (every other conv, through pointwise_conv).
     """
     n, c_in, h, w = x.shape
-    g = weights.groups
     if c_in != weights.c_in:
         raise ConfigError(
-            f"conv expects {weights.c_in} input channels ({g} groups), got {c_in}")
+            f"conv expects {weights.c_in} input channels ({weights.groups} groups), got {c_in}")
     k = weights.k
     h_out = _out_size(h, k, stride, pad)
     w_out = _out_size(w, k, stride, pad)
@@ -192,13 +199,12 @@ def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
         wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
         y, xp, _ = _tap_forward(x, wt, stride, pad, (h_out, w_out))
     else:
-        xp = zero_pad(x, pad)
-        xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
-        kg = weights.kernel.reshape(g, weights.c_out // g, c_in // g, k, k)
-        y = np.zeros((n, g, weights.c_out // g, h_out, w_out), dtype=x.dtype)
-        for u, v, win in _live_taps(xg, k, stride, pad, (h_out, w_out)):
-            y += np.einsum("ngihw,goi->ngohw", xg[win], kg[:, :, :, u, v])
-        y = y.reshape(n, weights.c_out, h_out, w_out)
+        # im2col: patches[n, (c, u, v), i, j] = xp[n, c, stride*i+u, stride*j+v],
+        # stored channels-last so that pointwise_conv reads it without a copy
+        win = sliding_window_view(zero_pad(x, pad), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+        xp = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+        xp = xp.reshape(n, h_out, w_out, -1).transpose(0, 3, 1, 2)
+        y = pointwise_conv(xp, _kernel_matrix(weights))
     if bias is not None:
         y += bias[None, :, None, None]
     ctx = (xp, weights, stride, pad, x.shape, (h_out, w_out), bias is not None)
@@ -217,16 +223,14 @@ def conv2d_backward(grad_y, ctx):
         wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
         grad_x, grad_k = _tap_adjoint(grad_y, xp, wt, stride, pad)
     else:
-        grad_xp = np.zeros_like(xp)
-        xg = xp.reshape(n, g, c_in // g, *xp.shape[2:])
-        gy = grad_y.reshape(n, g, weights.c_out // g, h_out, w_out)
-        kg = weights.kernel.reshape(g, weights.c_out // g, c_in // g, k, k)
-        grad_k = np.zeros_like(kg)
-        grad_xg = grad_xp.reshape(xg.shape)
-        for u, v, win in _live_taps(xg, k, stride, pad, (h_out, w_out)):
-            grad_k[:, :, :, u, v] = np.einsum("ngohw,ngihw->goi", gy, xg[win])
-            grad_xg[win] += np.einsum("ngohw,goi->ngihw", gy, kg[:, :, :, u, v])
+        grad_p, grad_m, _ = pointwise_conv_backward(grad_y, xp, _kernel_matrix(weights))
+        # col2im: scatter each tap's patch gradient back over the padded input
+        grad_p = grad_p.reshape(n, c_in, k, k, h_out, w_out)
+        grad_xp = np.zeros((n, c_in, h + 2 * pad, w + 2 * pad), grad_p.dtype)
+        for u, v, win in _live_taps(grad_xp.shape[2:], k, stride, pad, (h_out, w_out)):
+            grad_xp[win] += grad_p[:, :, u, v]
         grad_x = crop_pad(grad_xp, pad)
+        grad_k = grad_m.reshape(g, weights.c_out // g, g, -1)[np.arange(g), :, np.arange(g)]
     grad_bias = grad_y.sum(axis=(0, 2, 3)) if has_bias else None
     return grad_x, grad_k.reshape(weights.kernel.shape), grad_bias
 

@@ -370,6 +370,12 @@ BAD_INPUTS = {
     "class_index_negative": ([*GRADCAM_ARGS, "--class-index", "-1"], None, 2),
     "max_samples_negative": (["audit", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
                               "--max-samples", "-1"], None, 2),
+    # an --outdir below a regular file (the payload) cannot be created
+    "synth_outdir_under_file": (["synth", "--train", "1", "--dev", "1", "--test", "1",
+                                 "--outdir", "{tmp}/bad.ppm/out"], b"", 3),
+    "eval_outdir_under_file": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+                                "--outdir", "{tmp}/bad.ppm/out"], b"", 3),
+    "flops_grid_size_0": (["flops", "--grid-sizes", "0"], None, 2),
 }
 
 
@@ -399,6 +405,8 @@ def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
     subs = {"tmp": tmp_path, "manifest": workspace["dataset"] / "manifest.csv",
             "ckpt": workspace["rundir"] / "model.ckpt",
             "image": next((workspace["dataset"] / "test").glob("*.ppm"))}
-    argv = [a.format(**subs) for a in argv] + ["--outdir", str(tmp_path / "out")]
+    argv = [a.format(**subs) for a in argv]
+    if "--outdir" not in argv:
+        argv += ["--outdir", str(tmp_path / "out")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err

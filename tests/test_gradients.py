@@ -103,24 +103,34 @@ class TestConvBackward:
         np.testing.assert_allclose(gk[:, :, 0, 0],
                                    np.einsum("nohw,nchw->oc", gy, x), atol=1e-12)
 
-    @pytest.mark.parametrize("groups,stride", [(1, 1), (2, 1), (1, 2), (4, 2)])
-    def test_finite_differences(self, groups, stride):
+    @pytest.mark.parametrize("groups,stride,k,c_in,c_out,hw", [
+        pytest.param(1, 1, 3, 4, 4, (5, 5), id="1-1"),
+        pytest.param(2, 1, 3, 4, 4, (5, 5), id="2-1"),
+        pytest.param(1, 2, 3, 4, 4, (5, 5), id="1-2"),
+        pytest.param(4, 2, 3, 4, 4, (5, 5), id="4-2"),
+        # stem-like: 3 channels, stride 2; on the odd side the last window reads padding
+        pytest.param(1, 2, 3, 3, 4, (7, 6), id="stem-odd"),
+        pytest.param(1, 2, 3, 3, 4, (6, 8), id="stem-even"),
+        pytest.param(1, 2, 5, 3, 2, (6, 5), id="k5-even"),
+        # a channel multiplier keeps groups == c_in off the depthwise path
+        pytest.param(3, 1, 3, 3, 6, (4, 5), id="multiplier"),
+    ])
+    def test_finite_differences(self, groups, stride, k, c_in, c_out, hw):
         rng = np.random.default_rng(4 + groups + stride)
-        c_in, c_out, k = 4, 4, 3
-        x = rng.standard_normal((2, c_in, 5, 5))
+        x = rng.standard_normal((2, c_in, *hw))
         kernel = rng.standard_normal((c_out, c_in // groups, k, k))
         bias = rng.standard_normal(c_out)
         probe_shape = ops.conv2d(x, ops.ConvWeights(kernel, groups), bias=bias,
-                                 stride=stride, pad=1)[0].shape
+                                 stride=stride, pad=k // 2)[0].shape
         probe = rng.standard_normal(probe_shape)
 
         def loss():
             y, _ = ops.conv2d(x, ops.ConvWeights(kernel, groups), bias=bias,
-                              stride=stride, pad=1)
+                              stride=stride, pad=k // 2)
             return float((y * probe).sum())
 
         _, ctx = ops.conv2d(x, ops.ConvWeights(kernel, groups), bias=bias,
-                            stride=stride, pad=1)
+                            stride=stride, pad=k // 2)
         gx, gk, gb = ops.conv2d_backward(probe, ctx)
         check_grad(gx, loss, x)
         check_grad(gk, loss, kernel)

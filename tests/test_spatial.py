@@ -48,12 +48,21 @@ class TestConv2d:
             single, _ = ops.conv2d(x[:, ci:ci + 1], ops.ConvWeights(kernel[ci:ci + 1]), pad=1)
             np.testing.assert_allclose(y[:, ci:ci + 1], single, atol=1e-12)
 
-    @pytest.mark.parametrize("groups,stride,k", [(1, 1, 3), (2, 1, 3), (4, 2, 5), (1, 2, 3)])
-    def test_matches_nested_loop(self, groups, stride, k):
+    @pytest.mark.parametrize("groups,stride,k,c_in,c_out,hw", [
+        pytest.param(1, 1, 3, 4, 8, (7, 6), id="1-1-3"),
+        pytest.param(2, 1, 3, 4, 8, (7, 6), id="2-1-3"),
+        pytest.param(4, 2, 5, 4, 8, (7, 6), id="4-2-5"),
+        pytest.param(1, 2, 3, 4, 8, (7, 6), id="1-2-3"),
+        # stem-like: 3 channels, stride 2; on the odd side the last window reads padding
+        pytest.param(1, 2, 3, 3, 8, (9, 7), id="stem-odd"),
+        pytest.param(1, 2, 3, 3, 8, (8, 10), id="stem-even"),
+        pytest.param(1, 2, 5, 3, 4, (8, 6), id="k5-even"),
+        # a channel multiplier keeps groups == c_in off the depthwise path
+        pytest.param(3, 1, 3, 3, 6, (5, 6), id="multiplier"),
+    ])
+    def test_matches_nested_loop(self, groups, stride, k, c_in, c_out, hw):
         rng = np.random.default_rng(10 + groups + stride + k)
-        c_in = 4
-        c_out = 8
-        x = rng.standard_normal((2, c_in, 7, 6))
+        x = rng.standard_normal((2, c_in, *hw))
         kernel = rng.standard_normal((c_out, c_in // groups, k, k))
         bias = rng.standard_normal(c_out)
         y, _ = ops.conv2d(x, ops.ConvWeights(kernel, groups), bias=bias, stride=stride,
