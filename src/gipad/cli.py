@@ -20,7 +20,7 @@ import time
 
 from .config import (SPLITS, ModelConfig, Setting, SynthSpec, TrainConfig, convert, dump,
                      parse, settings)
-from .errors import ConfigError, DataError, GipadError, InternalError
+from .errors import ConfigError, DataError, GipadError, InternalError, read_input
 
 # The config objects' settings come from their dataclasses.
 OBJECT_SETTINGS = {cls: settings(cls) for cls in (ModelConfig, TrainConfig, SynthSpec)}
@@ -54,11 +54,7 @@ def make(cls, values):
 
 
 def read_config_file(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
+    text = read_input(path, "config", text=True)
     return {key: convert(key, raw, SETTINGS[key])
             for key, raw in parse(text, path, SETTINGS).items()}
 

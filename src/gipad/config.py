@@ -156,6 +156,8 @@ def parse(text: str, source, keys=None) -> dict:
     """
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
+        if "\0" in line:  # no path may hold one, and argv cannot carry one
+            raise ConfigError(f"{source}:{lineno}: NUL character")
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

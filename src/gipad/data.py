@@ -14,13 +14,15 @@ replayed or printed media.
 from __future__ import annotations
 
 import csv
+import io
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SPLITS, SynthSpec
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 
 LABELS = ("bonafide", "attack")
 CHANNEL_MEAN = 0.5
@@ -120,30 +122,15 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 def read_image(path) -> np.ndarray:
     """Read a binary PGM/PPM; returns uint8 (h, w) or (h, w, 3)."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read image {path}: {exc}") from exc
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    try:
-        magic, width, height, maxval = fields[0], *(int(f) for f in fields[1:])
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed PGM/PPM header") from exc
-    pos += 1  # single whitespace after maxval
-    if magic not in (b"P5", b"P6") or maxval != 255:
+    raw = read_input(path, "image")
+    # the magic, then width, height and maxval, each after whitespace or `#`
+    # comments, then one whitespace byte before the pixels
+    header = re.match(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s", raw)
+    if header is None:
+        raise DataError(f"{path}: malformed PGM/PPM header")
+    magic, pos = header[1], header.end()
+    width, height, maxval = (int(v) for v in header.groups()[1:])
+    if maxval != 255:
         raise DataError(f"{path}: only binary 8-bit PGM/PPM supported")
     if width < 1 or height < 1:
         raise DataError(f"{path}: image size {width}x{height} is empty")
@@ -176,12 +163,11 @@ class ManifestRow:
 
 def load_manifest(path, subject_disjoint: bool = False) -> list[ManifestRow]:
     """Parse and validate a manifest CSV (header: path,label,split,subject)."""
+    text = read_input(path, "manifest", text=True)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataError(f"{path}: {exc}") from exc
     if not rows or rows[0] != MANIFEST_HEADER:
         raise DataError(f"{path}: first line must be '{','.join(MANIFEST_HEADER)}'")
     out = []
@@ -291,10 +277,7 @@ def generate_synth(spec: SynthSpec, outdir) -> list[ManifestRow]:
         for index in range(getattr(spec, split)):
             patch, label = synth_patch(spec.seed, split, index, spec.size)
             rel = os.path.join(split, f"{label}_{index:05d}.ppm")
-            try:
-                write_ppm(os.path.join(outdir, rel), patch)
-            except OSError as exc:
-                raise DataError(f"cannot write patch {rel}: {exc}") from exc
+            write_ppm(os.path.join(outdir, rel), patch)
             rows.append(ManifestRow(rel, label, split, f"{split}-{index:04d}"))
     write_manifest(os.path.join(outdir, "manifest.csv"), rows)
     return rows

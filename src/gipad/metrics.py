@@ -9,11 +9,12 @@ the threshold counts as a false accept (the boundary belongs to acceptance).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UndefinedMetricError
+from .errors import DataError, UndefinedMetricError, read_input
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,7 @@ def write_scores_csv(path, scores, labels, splits) -> None:
 
 def read_scores_csv(path):
     """Returns (scores, labels, splits) arrays from a score CSV."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_input(path, "scores", text=True), newline="")))
     if not rows or rows[0] != ["score", "label", "split"]:
         raise DataError(f"{path}: first line must be 'score,label,split'")
     scores, labels, splits = [], [], []

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config, ops
 from .config import ModelConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 from .tensor import (
     activation,
     activation_grad,
@@ -591,11 +591,7 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = read_input(path, "checkpoint")
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     body, trailer = raw[:-8], raw[-8:]

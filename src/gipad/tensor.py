@@ -9,11 +9,12 @@ gradient ships a hand-derived backward companion.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_input
 
 T4_MAGIC = b"T4D1"
 BN_EPS = 1e-5
@@ -214,12 +215,13 @@ def tensor4_from_bytes(blob: bytes) -> np.ndarray:
     if len(blob) < 20 or blob[:4] != T4_MAGIC:
         raise DataError("not a tensor container (bad magic or truncated header)")
     dims = struct.unpack("<4I", blob[4:20])
-    count = int(np.prod(dims))
-    expected = 20 + 8 * count
+    expected = 20 + 8 * math.prod(dims)  # Python integers: four u32 dims overflow int64
     if len(blob) < expected:
         raise DataError(f"tensor container truncated: need {expected} bytes, have {len(blob)}")
     data = np.frombuffer(blob[20:expected], dtype="<f8").reshape(dims)
-    return tensor4(data)
+    if not np.all(np.isfinite(data)):
+        raise DataError("tensor container holds non-finite entries")
+    return data.astype(np.float64, copy=False)
 
 
 def write_tensor4(path, arr) -> None:
@@ -228,8 +230,7 @@ def write_tensor4(path, arr) -> None:
 
 
 def read_tensor4(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return tensor4_from_bytes(fh.read())
+    return tensor4_from_bytes(read_input(path, "tensor container"))
 
 
 def checksum64(data: bytes) -> int:

@@ -148,7 +148,7 @@ def run_early_stopping(dev_losses, patience: int, max_epochs: int):
 
 def load_split_tensors(root, rows, size: int, dtype=np.float64):
     """Preprocess every row once; returns (x, y) with x (n, 3, size, size)."""
-    x = np.stack([load_frame_tensor(root, row, size) for row in rows]).astype(dtype)
+    x = np.stack([load_frame_tensor(root, row, size) for row in rows], dtype=dtype)
     y = np.array([row.y for row in rows], dtype=np.float64)
     return x, y
 
@@ -194,7 +194,7 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = x_train[idx].copy()
+            xb = x_train[idx]  # an integer index already copies
             fb = flips[idx]
             xb[fb] = xb[fb][:, :, :, ::-1]
             logits = model.forward(xb, train=True)

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -324,6 +325,7 @@ class TestConfigHandling:
 TRAIN_ARGS = ["train", "--manifest", "{manifest}", *TRAIN_FLAGS]
 GRADCAM_ARGS = ["gradcam", "--checkpoint", "{ckpt}", "--image", "{image}"]
 BAD_CKPT_ARGS = ["eval", "--manifest", "{manifest}", "--checkpoint", "{tmp}/bad.ckpt"]
+BAD_MANIFEST_ARGS = ["eval", "--manifest", "{tmp}/bad.ppm", "--checkpoint", "{ckpt}"]
 BAD_INPUTS = {
     "empty_image": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"], b"", 3),
     "truncated_header": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"],
@@ -376,6 +378,15 @@ BAD_INPUTS = {
     "eval_outdir_under_file": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
                                 "--outdir", "{tmp}/bad.ppm/out"], b"", 3),
     "flops_grid_size_0": (["flops", "--grid-sizes", "0"], None, 2),
+    # a manifest given as the payload
+    "manifest_not_utf8": (BAD_MANIFEST_ARGS,
+                          b"path,label,split,subject\n\xff.ppm,bonafide,test,s1\n", 3),
+    "manifest_path_nul": (BAD_MANIFEST_ARGS,
+                          b"path,label,split,subject\na\x00.ppm,bonafide,test,s1\n", 3),
+    "manifest_field_over_limit": (BAD_MANIFEST_ARGS, b"path,label,split,subject\n"
+                                  + b"a" * 200000 + b",bonafide,test,s1\n", 3),
+    "config_checkpoint_nul": (["eval", "--manifest", "{manifest}", "--config", "{tmp}/bad.ppm"],
+                              b"checkpoint = model\x00.ckpt\n", 2),
 }
 
 
@@ -388,7 +399,12 @@ def edit_checkpoint(raw, block, pattern, replacement):
         blocks.append(raw[pos + 4:pos + 4 + size])
         pos += 4 + size
     blocks[block] = re.sub(pattern, replacement, blocks[block], count=1)
-    body = raw[:4] + b"".join(struct.pack("<I", len(b)) + b for b in blocks) + raw[pos:-8]
+    return resign(raw[:4] + b"".join(struct.pack("<I", len(b)) + b for b in blocks)
+                  + raw[pos:-8])
+
+
+def resign(body):
+    """Checkpoint bytes: `body` followed by its checksum trailer."""
     return body + struct.pack("<Q", checksum64(body))
 
 
@@ -410,3 +426,93 @@ def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
         argv += ["--outdir", str(tmp_path / "out")]
     assert cli.main(argv) == code
     assert "error:" in capsys.readouterr().err
+
+
+class TestOneClassAudit:
+    def test_describes_the_class_it_gets(self, workspace, tmp_path):
+        """An audit describes the kernels of whatever rows it gets: a split
+        with one class exits 0, with null effect sizes and an empty class."""
+        dataset = workspace["dataset"]
+        manifest = tmp_path / "bonafide.csv"
+        manifest.write_text("path,label,split,subject\n" + "".join(
+            f"{path},bonafide,test,s{i}\n"
+            for i, path in enumerate(sorted((dataset / "test").glob("bonafide_*.ppm")))),
+            encoding="utf-8")
+        proc = run_cli("audit", "--manifest", str(manifest),
+                       "--checkpoint", str(workspace["rundir"] / "model.ckpt"),
+                       "--outdir", str(tmp_path / "a"))
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "a" / "audit.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        for name, effect in report["cohens_d"].items():
+            assert effect is None
+            assert report["per_class"][name]["attack"] == {"mean": None, "std": None, "n": 0}
+            assert report["per_class"][name]["bonafide"]["n"] == 4
+
+
+# Seeded random-input testing of the exit-code contract, after Miller,
+# Fredriksen & So, "An empirical study of the reliability of UNIX utilities"
+# (CACM 1990).
+FUZZ_SEED = 2
+FUZZ_CASES = 20  # per input
+
+
+def mutate(raw, rng):
+    """`raw` with one byte flipped, inserted or deleted, or cut short there.
+
+    The position is drawn log-uniformly, so headers are hit about as often
+    as bodies.
+    """
+    pos = int(len(raw) ** rng.random()) - 1
+    op = rng.integers(4)
+    if op == 0:
+        return raw[:pos] + bytes([raw[pos] ^ 1 << int(rng.integers(8))]) + raw[pos + 1:]
+    if op == 1:
+        return raw[:pos] + bytes([int(rng.integers(256))]) + raw[pos:]
+    if op == 2:
+        return raw[:pos] + raw[pos + 1:]
+    return raw[:pos]
+
+
+def test_fuzzed_inputs_keep_the_exit_code_contract(workspace, tmp_path, capsys):
+    """Every mutated input exits 0, 2, 3 or 4 without raising, and a corrupt
+    image or checkpoint is a data error (3), never a configuration error (2)."""
+    from gipad import cli
+
+    data = tmp_path / "data"
+    shutil.copytree(workspace["dataset"], data)
+    ckpt = workspace["rundir"] / "model.ckpt"
+    image = next((data / "test").glob("*.ppm"))
+    config = f"manifest = {data / 'manifest.csv'}\ncheckpoint = {ckpt}\nthreshold = dev_eer\n"
+    raw_ckpt = ckpt.read_bytes()
+    with_ckpt = [["gradcam", "--checkpoint", "{path}", "--image", "{image}"]]
+    # input: (its bytes, its mutation, the commands it is fed to in turn)
+    inputs = {
+        "image": (image.read_bytes(), mutate,
+                  [["gradcam", "--checkpoint", "{ckpt}", "--image", "{path}"]]),
+        "manifest": ((data / "manifest.csv").read_bytes(), mutate,
+                     [["eval", "--manifest", "{path}", "--checkpoint", "{ckpt}"],
+                      ["audit", "--manifest", "{path}", "--checkpoint", "{ckpt}",
+                       "--max-samples", "4"]]),
+        "config": (config.encode(), mutate, [["eval", "--config", "{path}"]]),
+        "checkpoint": (raw_ckpt, mutate, with_ckpt),
+        # a recomputed checksum lets the mutation reach the checkpoint's parsers
+        "checkpoint_resigned": (raw_ckpt, lambda raw, rng: resign(mutate(raw[:-8], rng)),
+                                with_ckpt),
+    }
+    rng = np.random.default_rng(FUZZ_SEED)
+    failures = []
+    for name, (raw, mutation, commands) in inputs.items():
+        path = data / f"fuzz_{name}"
+        for case in range(FUZZ_CASES):
+            path.write_bytes(mutation(raw, rng))
+            argv = [a.format(path=path, ckpt=ckpt, image=image)
+                    for a in commands[case % len(commands)]]
+            try:
+                code = cli.main([*argv, "--outdir", str(tmp_path / "out")])
+            except Exception as exc:  # a traceback is what this test looks for
+                code = repr(exc)
+            if code not in (0, 2, 3, 4) or (code == 2 and name not in ("manifest", "config")):
+                failures.append((name, case, code))
+    capsys.readouterr()
+    assert not failures

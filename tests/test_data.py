@@ -104,6 +104,17 @@ class TestImageIO:
         with pytest.raises(DataError):
             data.read_image("/nonexistent/frame.ppm")
 
+    def test_header_comments_and_whitespace(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5 # made by hand\n2\t# width\n\n1 255\n\x07#")
+        np.testing.assert_array_equal(data.read_image(path), [[7, 35]])
+
+    def test_must_begin_with_magic(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b" P5 2 1 255\n\x07#")
+        with pytest.raises(DataError, match="header"):
+            data.read_image(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n4 4\n255\nshort")

@@ -315,3 +315,15 @@ class TestContainer:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ConfigError):
             tensor.tensor4_to_bytes(x)
+
+    def test_non_finite_bytes_are_data_errors(self):
+        blob = tensor.tensor4_to_bytes(np.zeros((1, 1, 1, 2)))
+        blob = blob[:20] + struct.pack("<d", np.nan) + blob[28:]
+        with pytest.raises(DataError, match="non-finite"):
+            tensor.tensor4_from_bytes(blob)
+
+    def test_overflowing_dims(self):
+        # 65536**4 wraps to 0 in int64; the count must not
+        blob = b"T4D1" + struct.pack("<4I", *[65536] * 4) + bytes(8)
+        with pytest.raises(DataError, match="truncated"):
+            tensor.tensor4_from_bytes(blob)
