@@ -131,11 +131,11 @@ def cmd_train(args):
     from .train import train_and_checkpoint
 
     rows, root = _load_rows(values)
+    train_config = make(TrainConfig, values)  # checks the seed before make_rng reads it
     model = build_model(make(ModelConfig, values), make_rng(values["seed"]))
     model.seed = values["seed"]
     print(f"model parameters: {param_count(model)}")
-    history = train_and_checkpoint(model, rows, make(TrainConfig, values), root,
-                                   values["outdir"])
+    history = train_and_checkpoint(model, rows, train_config, root, values["outdir"])
     print(f"stopped after epoch {len(history.dev_loss)} ({history.stop_reason}), "
           f"best epoch {history.best_epoch}, best dev loss "
           f"{history.dev_loss[history.best_epoch - 1]:.6f}")

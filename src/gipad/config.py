@@ -130,6 +130,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -146,6 +148,8 @@ class SynthSpec:
                 raise ConfigError(f"synthetic {split} count must be >= 1")
         if self.size < 1:
             raise ConfigError(f"synthetic patch size must be >= 1, got {self.size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse(text: str, source, keys=None) -> dict:

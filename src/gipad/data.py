@@ -48,12 +48,15 @@ def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
     """Bilinear resize to size x size using half-pixel sample centers.
 
     Works on (h, w) or (h, w, c) float arrays; output values stay within the
-    input range because interpolation weights are convex.
+    input range because interpolation weights are convex. A size x size input
+    is returned as a float64 copy: every sample then falls on a pixel center.
     """
     if size < 1:
         raise ConfigError(f"target size must be >= 1, got {size}")
     squeeze = image.ndim == 2
     img = image.astype(np.float64)
+    if img.shape[:2] == (size, size):
+        return img
     if squeeze:
         img = img[:, :, None]
     h, w = img.shape[:2]

@@ -159,7 +159,11 @@ def write_scores_csv(path, scores, labels, splits) -> None:
 
 def read_scores_csv(path):
     """Returns (scores, labels, splits) arrays from a score CSV."""
-    rows = list(csv.reader(io.StringIO(read_input(path, "scores", text=True), newline="")))
+    reader = csv.reader(io.StringIO(read_input(path, "scores", text=True), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows or rows[0] != ["score", "label", "split"]:
         raise DataError(f"{path}: first line must be 'score,label,split'")
     scores, labels, splits = [], [], []
@@ -168,7 +172,10 @@ def read_scores_csv(path):
             raise DataError(f"{path}:{lineno}: expected 3 fields")
         if row[1] not in ("bonafide", "attack"):
             raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
-        scores.append(float(row[0]))
+        try:
+            scores.append(float(row[0]))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: score {row[0]!r} is not a number") from None
         labels.append(1 if row[1] == "bonafide" else 0)
         splits.append(row[2])
     return np.array(scores), np.array(labels), splits

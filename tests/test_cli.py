@@ -378,6 +378,10 @@ BAD_INPUTS = {
     "eval_outdir_under_file": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
                                 "--outdir", "{tmp}/bad.ppm/out"], b"", 3),
     "flops_grid_size_0": (["flops", "--grid-sizes", "0"], None, 2),
+    # numpy's seeding refuses a negative seed with a ValueError (once exit 1)
+    "synth_seed_negative": (["synth", "--train", "1", "--dev", "1", "--test", "1",
+                             "--seed", "-1"], None, 2),
+    "train_seed_negative": ([*TRAIN_ARGS, "--seed", "-1"], None, 2),
     # a manifest given as the payload
     "manifest_not_utf8": (BAD_MANIFEST_ARGS,
                           b"path,label,split,subject\n\xff.ppm,bonafide,test,s1\n", 3),

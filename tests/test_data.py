@@ -58,6 +58,11 @@ class TestResize:
         img = rng.random((6, 9, 3))
         np.testing.assert_allclose(data.resize_bilinear(img, 5), bilinear_ref(img, 5),
                                    atol=1e-12)
+        # at its own size an image comes back unchanged, as a copy
+        for same in (rng.random((9, 9, 3)), rng.standard_normal((9, 9))):
+            out = data.resize_bilinear(same, 9)
+            np.testing.assert_allclose(out, bilinear_ref(same, 9), rtol=0, atol=1e-12)
+            assert out.tobytes() == same.tobytes() and not np.shares_memory(out, same)
 
     def test_values_stay_in_range(self):
         rng = np.random.default_rng(3)

@@ -166,7 +166,7 @@ class TestTapEngineSmallMaps:
             return float((ops.conv2d(x, w, stride=stride, pad=k // 2)[0] * probe).sum())
 
         gx, gk, _ = ops.conv2d_backward(probe, ctx)
-        assert y.flags.c_contiguous and gk.flags.c_contiguous
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous and gk.flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gk, loss, kernel)
 
@@ -187,9 +187,73 @@ class TestTapEngineSmallMaps:
             return float((ops.group_involution_forward(x, field, gmap)[0] * probe).sum())
 
         gx, gf = ops.gi_backward(probe, ctx)
-        assert y.flags.c_contiguous
+        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gf, loss, field)
+
+
+    # BLOCK_BYTES as a function of the bytes of one output row and one sample:
+    # one row per block, bands of two rows (the last one shorter on odd maps),
+    # two whole samples per block (the last block holding one)
+    BLOCKS = {"row": lambda row, sample: row,
+              "two_rows": lambda row, sample: 2 * row + 8,
+              "two_samples": lambda row, sample: 2 * sample + 8}
+
+    def _blocked(self, monkeypatch, block, y, run):
+        """run() once with the default block size and once with `block`."""
+        whole = run()
+        row = y[0, :, 0].nbytes
+        monkeypatch.setattr(ops, "BLOCK_BYTES", self.BLOCKS[block](row, row * y.shape[2]))
+        blocked = run()
+        for a, b in zip(whole, blocked):
+            assert a.shape == b.shape
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+        return blocked
+
+    @staticmethod
+    def _adjoint_close(lhs, rhs):
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_blocks(self, monkeypatch, block, k, stride):
+        rng = np.random.default_rng(200 + 10 * k + stride)
+        x = rng.standard_normal((3, 6, 9, 7))
+        kernel = rng.standard_normal((6, 1, k, k))
+        w = ops.ConvWeights(kernel, groups=6)
+        y0 = ops.conv2d(x, w, stride=stride, pad=k // 2)[0]
+        probe = rng.standard_normal(y0.shape)
+
+        def run():
+            y, ctx = ops.conv2d(x, w, stride=stride, pad=k // 2)
+            return (y, *ops.conv2d_backward(probe, ctx)[:2])
+
+        y, gx, gk = self._blocked(monkeypatch, block, y0, run)
+        np.testing.assert_allclose(
+            y, conv2d_ref(x, kernel, stride=stride, pad=k // 2, groups=6), rtol=0, atol=1e-12)
+        lhs = float((probe * y).sum())
+        self._adjoint_close(lhs, float((gx * x).sum()))
+        self._adjoint_close(lhs, float((gk * kernel).sum()))
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("c, g, hw", [(6, 3, (7, 5)), (4, 4, (6, 6))])
+    def test_group_involution_blocks(self, monkeypatch, block, c, g, hw):
+        rng = np.random.default_rng(300 + c + g)
+        x = rng.standard_normal((3, c, *hw))
+        field = rng.standard_normal((3, g, 3, 3, *hw))
+        gmap = ops.GroupMap(c, g)
+        probe = rng.standard_normal(x.shape)
+
+        def run():
+            y, ctx = ops.group_involution_forward(x, field, gmap)
+            return (y, *ops.gi_backward(probe, ctx))
+
+        y, gx, gf = self._blocked(monkeypatch, block, x, run)
+        np.testing.assert_allclose(y, gi_ref(x, field, g), rtol=0, atol=1e-12)
+        lhs = float((probe * y).sum())
+        self._adjoint_close(lhs, float((gx * x).sum()))
+        self._adjoint_close(lhs, float((gf * field).sum()))
 
 
 class TestGeneratorBackward:

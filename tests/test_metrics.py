@@ -260,6 +260,16 @@ class TestReportAndFiles:
         with pytest.raises(DataError):
             metrics.read_scores_csv(path)
 
+    @pytest.mark.parametrize("row, line", [
+        ("high,bonafide,test", 3),
+        ("9" * 200000 + ",attack,test", 3),
+    ], ids=["score_not_a_number", "field_over_limit"])
+    def test_scores_csv_bad_row_names_its_line(self, tmp_path, row, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"score,label,split\n0.5,bonafide,test\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"bad.csv:{line}:"):
+            metrics.read_scores_csv(path)
+
     def test_aggregate_by_prefix(self):
         paths = ["v1_000.ppm", "v1_001.ppm", "v2_000.ppm"]
         scores = np.array([0.8, 0.6, 0.2])
