@@ -12,12 +12,11 @@ field (n, G, k, k, h, w). It skips taps that read only padding (16 of 25 for
 k = 5 on 2 x 2 maps), runs its taps over cache-sized blocks of output, and
 stores its arrays channels-last, as (n, h, w, S, G) and (k, k, n, h, w, G),
 so numpy's innermost loop runs over groups instead of a short output row;
-logical shapes and tap order are the NCHW ones, and its output is an NCHW
-view of channels-last (n, h, w, c) memory, like every activation. Channel
-mixing (the stem and every other non-depthwise conv, grouped included) is
-im2col plus tensor.pointwise_conv with the block-diagonal (c_out, c_in*k*k)
-kernel matrix; its adjoint is pointwise_conv_backward plus a col2im scatter
-over the taps.
+logical shapes, tap order and results are the NCHW ones, and its output is
+copied to C-contiguous NCHW. Channel mixing (the stem and every other
+non-depthwise conv, grouped included) is im2col plus tensor.pointwise_conv
+with the block-diagonal (c_out, c_in*k*k) kernel matrix; its adjoint is
+pointwise_conv_backward plus a col2im scatter over the taps.
 """
 
 from __future__ import annotations
@@ -137,8 +136,8 @@ def _live_taps(padded_hw, k, stride, pad, out_hw):
 def _tap_forward(x, wt, stride, pad, out_hw):
     """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v]
     over the zero-padded x viewed as xg (n, G, S, h, w), tap by tap through one
-    buffer. Returns (y, xg, wt): y an NCHW view of channels-last (n, h, w, c)
-    memory; xg and wt, stored channels-last, feed _tap_adjoint.
+    buffer. Returns (y, xg, wt): y C-contiguous NCHW; xg and wt, stored
+    channels-last, feed _tap_adjoint.
 
     The taps run over blocks of about BLOCK_BYTES of output, whole samples
     or bands of output rows of one sample, so that a block and its buffer
@@ -171,9 +170,8 @@ def _tap_forward(x, wt, stride, pad, out_hw):
             rows_in = slice(u + stride * r0, u + stride * r1, stride)
             np.multiply(wb[:, :, None, u, v], xg[ns, ..., rows_in, win[2]], out=bb)
             yb += bb
-    del buf  # before the (n, h, w, c) copy of ys for S > 1, which would raise peak memory
-    y = np.ascontiguousarray(ys.transpose(0, 1, 2, 4, 3)).reshape(n, h_out, w_out, c)
-    return y.transpose(0, 3, 1, 2), xg, wt
+    del buf  # before the NCHW copy of ys, which would otherwise raise peak memory
+    return np.ascontiguousarray(ys.transpose(0, 4, 3, 1, 2)).reshape(n, c, h_out, w_out), xg, wt
 
 
 def _tap_adjoint(grad_y, xg, wt, stride, pad):

@@ -1,9 +1,9 @@
 """Rank-4 tensor primitives every other module composes.
 
 A tensor here is a plain numpy array of shape (batch, channel, height,
-width). Any memory order is accepted, but between layers the package stores
-activations channels-last: an NCHW view of an (n*h*w, c) row-major matrix,
-which pointwise convolution and batch norm use as is. The binary container
+width) in either memory order: the per-channel tap engine in ops returns
+C-contiguous NCHW arrays, pointwise_conv returns NCHW views of channels-last
+(n*h*w, c) memory, and every primitive accepts both. The binary container
 below is row-major NCHW. The verification/test path runs in float64;
 training may opt into float32. There is no autograd: each primitive that
 needs a gradient ships a hand-derived backward companion.
@@ -22,10 +22,6 @@ from .errors import ConfigError, DataError, read_input
 T4_MAGIC = b"T4D1"
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
-
-# Values per row of the matrices that batch norm works on: long enough for
-# numpy's inner loops, short enough that a tiled per-channel vector stays cached.
-ROW_VALUES = 512
 
 ACTIVATIONS = ("relu", "hardswish", "hardsigmoid", "sigmoid")
 
@@ -75,46 +71,6 @@ def crop_pad(x: np.ndarray, pad: int) -> np.ndarray:
     return x[:, :, pad:-pad, pad:-pad]
 
 
-def _matrix(x: np.ndarray) -> np.ndarray:
-    """The channels-last (n*h*w, c) matrix of an NCHW-shaped array: a view of
-    channels-last memory, as every activation between layers is, else a copy."""
-    return x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1])
-
-
-def _nchw(m: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    """NCHW view of an (n*h*w, c) channels-last matrix."""
-    return m.reshape(n, h, w, -1).transpose(0, 3, 1, 2)
-
-
-def _rows(x: np.ndarray):
-    """(m, r): x's channels-last memory as a matrix m of rows of r*c values,
-    r the largest divisor of w with r*c <= ROW_VALUES. Elementwise passes
-    with a per-channel vector tiled r times then run numpy's inner loop over
-    r*c values, where c alone (8 on desk maps) would make it very short."""
-    n, c, h, w = x.shape
-    r = next(r for r in range(min(w, max(1, ROW_VALUES // c)), 0, -1) if w % r == 0)
-    return _matrix(x).reshape(-1, r * c), r
-
-
-def _tile(v: np.ndarray, r: int) -> np.ndarray:
-    """v repeated r times (np.tile without its per-call overhead)."""
-    out = np.empty((r, len(v)), v.dtype)
-    out[...] = v
-    return out.reshape(-1)
-
-
-def _channel_sums(a: np.ndarray, c: int, b=None) -> np.ndarray:
-    """Per-channel sums over a matrix whose columns cycle through c channels
-    (of a, or of a * b), in a's dtype. They accumulate in float64: a float32
-    running sum over the rows of a map loses digits that batch norm's
-    backward then cancels down to."""
-    if b is None:
-        sums = a.sum(axis=0, dtype=np.float64)
-    else:
-        sums = np.einsum("ij,ij->j", a, b, dtype=np.float64)
-    return sums.reshape(-1, c).sum(axis=0).astype(a.dtype, copy=False)
-
-
 def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
     """1x1 convolution: y[n,o,i,j] = bias[o] + sum_c weights[o,c] * x[n,c,i,j].
 
@@ -126,20 +82,20 @@ def pointwise_conv(x: np.ndarray, weights: np.ndarray, bias=None) -> np.ndarray:
     if weights.ndim != 2 or weights.shape[1] != c:
         raise ConfigError(
             f"pointwise weights {weights.shape} do not match {c} input channels")
-    y = np.matmul(_matrix(x), weights.T)
+    y = np.matmul(x.transpose(0, 2, 3, 1).reshape(-1, c), weights.T)
     if bias is not None:
         y += bias
-    return _nchw(y, n, h, w)
+    return y.reshape(n, h, w, -1).transpose(0, 3, 1, 2)
 
 
 def pointwise_conv_backward(grad_y, x, weights):
     """Adjoint of pointwise_conv; returns (grad_x, grad_weights, grad_bias),
     the first two each one matmul over the channels-last matrices."""
     n, c, h, w = x.shape
-    gy = _matrix(grad_y)
-    grad_x = _nchw(np.matmul(gy, weights), n, h, w)
+    gy = grad_y.transpose(0, 2, 3, 1).reshape(-1, weights.shape[0])
+    grad_x = np.matmul(gy, weights).reshape(n, h, w, c).transpose(0, 3, 1, 2)
     grad_w = np.matmul(x.transpose(1, 0, 2, 3).reshape(c, -1), gy).T
-    grad_b = _channel_sums(_rows(grad_y)[0], weights.shape[0])
+    grad_b = grad_y.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 
 
@@ -188,40 +144,37 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, train,
 
     Train mode normalizes by biased batch statistics and returns updated
     running stats (momentum 0.1, i.e. new = 0.9*old + 0.1*batch). Infer mode
-    normalizes by the running stats and returns them unchanged. Both work on
-    x's channels-last memory as a matrix (_rows); y is an NCHW view of such
-    memory.
+    normalizes by the running stats and returns them unchanged.
 
     Returns (y, ctx, new_running_mean, new_running_var). ctx feeds
     batch_norm_backward; it is recorded when `record` is true (defaults to
     `train`), so gradients can also be taken through a frozen-statistics
     forward pass.
     """
-    n, c, h, w = x.shape
-    if gamma.shape[0] != c:
-        raise ConfigError(f"batch norm sized for {gamma.shape[0]} channels, input has {c}")
+    if gamma.shape[0] != x.shape[1]:
+        raise ConfigError(f"batch norm sized for {gamma.shape[0]} channels, input has {x.shape[1]}")
     record = train if record is None else record
-    x, r = _rows(x)
     if train:
-        mean = _channel_sums(x, c) / (n * h * w)
-        xhat = x - _tile(mean, r)
+        mean = x.mean(axis=(0, 2, 3))
+        xhat = x - mean[None, :, None, None]
         # two passes: E[x^2] - E[x]^2 cancels catastrophically when |mean| >> std
-        var = _channel_sums(xhat, c, xhat) / (n * h * w)
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / (x.size // x.shape[1])
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= _tile(inv_std, r)
-        y = xhat * _tile(gamma, r)
-        y += _tile(beta, r)
+        xhat *= inv_std[None, :, None, None]
+        y = xhat * gamma[None, :, None, None]
+        y += beta[None, :, None, None]
         new_mean = (1.0 - momentum) * running_mean + momentum * mean
         new_var = (1.0 - momentum) * running_var + momentum * var
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
         scale = gamma * inv_std
-        y = x * _tile(scale, r)
-        y += _tile(beta - running_mean * scale, r)
-        xhat = (x - _tile(running_mean, r)) * _tile(inv_std, r) if record else None
+        y = x * scale[None, :, None, None]
+        y += (beta - running_mean * scale)[None, :, None, None]
+        xhat = (x - running_mean[None, :, None, None]) * inv_std[None, :, None, None] \
+            if record else None
         new_mean, new_var = running_mean, running_var
     ctx = ("train" if train else "infer", xhat, inv_std, gamma) if record else None
-    return _nchw(y, n, h, w), ctx, new_mean, new_var
+    return y, ctx, new_mean, new_var
 
 
 def batch_norm_backward(grad_y, ctx):
@@ -233,19 +186,18 @@ def batch_norm_backward(grad_y, ctx):
     plain affine adjoint dx = gamma*inv_std*dy.
     """
     mode, xhat, inv_std, gamma = ctx
-    n, c, h, w = grad_y.shape
-    gy, r = _rows(grad_y)
-    grad_gamma = _channel_sums(gy, c, xhat)
-    grad_beta = _channel_sums(gy, c)
-    scale = _tile(gamma * inv_std, r)
+    grad_gamma = np.einsum("nchw,nchw->c", grad_y, xhat)
+    grad_beta = grad_y.sum(axis=(0, 2, 3))
+    scale = (gamma * inv_std)[None, :, None, None]
     if mode == "train":
-        grad_x = xhat * _tile(-grad_gamma / (n * h * w), r)
-        grad_x += gy
-        grad_x -= _tile(grad_beta / (n * h * w), r)
+        count = grad_y.size // grad_y.shape[1]
+        grad_x = xhat * (-grad_gamma / count)[None, :, None, None]
+        grad_x += grad_y
+        grad_x -= (grad_beta / count)[None, :, None, None]
         grad_x *= scale
     else:
-        grad_x = gy * scale
-    return _nchw(grad_x, n, h, w), grad_gamma, grad_beta
+        grad_x = grad_y * scale
+    return grad_x, grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------

@@ -137,9 +137,33 @@ class TestConvBackward:
         check_grad(gb, loss, bias)
 
 
-def tap_cases(small, larger):
-    # the small-map cases keep their hw0.. ids
-    return [pytest.param(*case, id=f"hw{i}") for i, case in enumerate(small)] + larger
+# ops.BLOCK_BYTES for the blocked tap-engine cases, from the bytes of one
+# output row and of one output sample: one row per block, bands of two rows
+# (the last one shorter on odd maps), one sample per block
+BLOCKS = {"row": lambda row, sample: row,
+          "two_rows": lambda row, sample: 2 * row + 8,
+          "sample": lambda row, sample: sample + 8}
+
+
+def tap_cases(small, larger, blocked):
+    """Parameters (*case, block): block None for the small and larger cases,
+    which keep the ids they had before block was a parameter, and a BLOCKS
+    key for the blocked ones."""
+    params = [pytest.param(*case, None, id=f"hw{i}") for i, case in enumerate(small)]
+    for i, case in enumerate(larger, len(params)):
+        params.append(pytest.param(*case, None, id="-".join(map(str, case[:-1])) + f"-hw{i}"))
+    for i, (*case, block) in enumerate(blocked, len(params)):
+        params.append(pytest.param(*case, block, id=f"{block}-hw{i}"))
+    return params
+
+
+def assert_unchanged_by_blocks(monkeypatch, block, y, outs, run):
+    """run() again under the BLOCK_BYTES that BLOCKS[block] gives for y's
+    rows and samples: its outputs must equal outs bit for bit."""
+    row = y[0, :, 0].nbytes
+    monkeypatch.setattr(ops, "BLOCK_BYTES", BLOCKS[block](row, row * y.shape[2]))
+    for want, got in zip(outs, run()):
+        assert want.shape == got.shape and want.tobytes() == got.tobytes()
 
 
 class TestTapEngineSmallMaps:
@@ -147,12 +171,13 @@ class TestTapEngineSmallMaps:
     and larger maps with the group count above, equal to and below the output
     width."""
 
-    @pytest.mark.parametrize("c, hw", tap_cases(
+    @pytest.mark.parametrize("c, hw, block", tap_cases(
         [(3, (1, 1)), (3, (2, 2)), (3, (2, 3))],
-        [(16, (9, 9)), (9, (8, 8)), (8, (8, 8)), (3, (8, 8))]))
+        [(16, (9, 9)), (9, (8, 8)), (8, (8, 8)), (3, (8, 8))],
+        [(16, (9, 9), "row"), (6, (9, 7), "two_rows"), (8, (8, 8), "sample")]))
     @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_depthwise(self, c, hw, k, stride):
+    def test_depthwise(self, monkeypatch, c, hw, block, k, stride):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k + stride)
         x = rng.standard_normal((2, c, *hw))
         kernel = rng.standard_normal((c, 1, k, k))
@@ -166,15 +191,21 @@ class TestTapEngineSmallMaps:
             return float((ops.conv2d(x, w, stride=stride, pad=k // 2)[0] * probe).sum())
 
         gx, gk, _ = ops.conv2d_backward(probe, ctx)
-        assert y.transpose(0, 2, 3, 1).flags.c_contiguous and gk.flags.c_contiguous
+        assert y.flags.c_contiguous and gk.flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gk, loss, kernel)
+        if block:
+            def run():
+                y, ctx = ops.conv2d(x, w, stride=stride, pad=k // 2)
+                return (y, *ops.conv2d_backward(probe, ctx)[:2])
+            assert_unchanged_by_blocks(monkeypatch, block, y, (y, gx, gk), run)
 
-    @pytest.mark.parametrize("c, g, hw", tap_cases(
+    @pytest.mark.parametrize("c, g, hw, block", tap_cases(
         [(4, 2, (1, 1)), (4, 2, (2, 2)), (4, 2, (2, 3))],
-        [(12, 6, (3, 3)), (6, 6, (2, 4)), (4, 2, (5, 5))]))
+        [(12, 6, (3, 3)), (6, 6, (2, 4)), (4, 2, (5, 5))],
+        [(12, 6, (3, 3), "row"), (6, 3, (7, 5), "two_rows"), (4, 4, (6, 6), "sample")]))
     @pytest.mark.parametrize("k", [3, 5])
-    def test_group_involution(self, c, g, hw, k):
+    def test_group_involution(self, monkeypatch, c, g, hw, block, k):
         rng = np.random.default_rng(hw[0] * 100 + hw[1] * 10 + k)
         x = rng.standard_normal((2, c, *hw))
         field = rng.standard_normal((2, g, k, k, *hw))
@@ -187,73 +218,14 @@ class TestTapEngineSmallMaps:
             return float((ops.group_involution_forward(x, field, gmap)[0] * probe).sum())
 
         gx, gf = ops.gi_backward(probe, ctx)
-        assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+        assert y.flags.c_contiguous
         check_grad(gx, loss, x)
         check_grad(gf, loss, field)
-
-
-    # BLOCK_BYTES as a function of the bytes of one output row and one sample:
-    # one row per block, bands of two rows (the last one shorter on odd maps),
-    # two whole samples per block (the last block holding one)
-    BLOCKS = {"row": lambda row, sample: row,
-              "two_rows": lambda row, sample: 2 * row + 8,
-              "two_samples": lambda row, sample: 2 * sample + 8}
-
-    def _blocked(self, monkeypatch, block, y, run):
-        """run() once with the default block size and once with `block`."""
-        whole = run()
-        row = y[0, :, 0].nbytes
-        monkeypatch.setattr(ops, "BLOCK_BYTES", self.BLOCKS[block](row, row * y.shape[2]))
-        blocked = run()
-        for a, b in zip(whole, blocked):
-            assert a.shape == b.shape
-            assert np.array(a).tobytes() == np.array(b).tobytes()
-        return blocked
-
-    @staticmethod
-    def _adjoint_close(lhs, rhs):
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-    @pytest.mark.parametrize("block", sorted(BLOCKS))
-    @pytest.mark.parametrize("k", [3, 5])
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_depthwise_blocks(self, monkeypatch, block, k, stride):
-        rng = np.random.default_rng(200 + 10 * k + stride)
-        x = rng.standard_normal((3, 6, 9, 7))
-        kernel = rng.standard_normal((6, 1, k, k))
-        w = ops.ConvWeights(kernel, groups=6)
-        y0 = ops.conv2d(x, w, stride=stride, pad=k // 2)[0]
-        probe = rng.standard_normal(y0.shape)
-
-        def run():
-            y, ctx = ops.conv2d(x, w, stride=stride, pad=k // 2)
-            return (y, *ops.conv2d_backward(probe, ctx)[:2])
-
-        y, gx, gk = self._blocked(monkeypatch, block, y0, run)
-        np.testing.assert_allclose(
-            y, conv2d_ref(x, kernel, stride=stride, pad=k // 2, groups=6), rtol=0, atol=1e-12)
-        lhs = float((probe * y).sum())
-        self._adjoint_close(lhs, float((gx * x).sum()))
-        self._adjoint_close(lhs, float((gk * kernel).sum()))
-
-    @pytest.mark.parametrize("block", sorted(BLOCKS))
-    @pytest.mark.parametrize("c, g, hw", [(6, 3, (7, 5)), (4, 4, (6, 6))])
-    def test_group_involution_blocks(self, monkeypatch, block, c, g, hw):
-        rng = np.random.default_rng(300 + c + g)
-        x = rng.standard_normal((3, c, *hw))
-        field = rng.standard_normal((3, g, 3, 3, *hw))
-        gmap = ops.GroupMap(c, g)
-        probe = rng.standard_normal(x.shape)
-
-        def run():
-            y, ctx = ops.group_involution_forward(x, field, gmap)
-            return (y, *ops.gi_backward(probe, ctx))
-
-        y, gx, gf = self._blocked(monkeypatch, block, x, run)
-        np.testing.assert_allclose(y, gi_ref(x, field, g), rtol=0, atol=1e-12)
-        lhs = float((probe * y).sum())
-        self._adjoint_close(lhs, float((gx * x).sum()))
-        self._adjoint_close(lhs, float((gf * field).sum()))
+        if block:
+            def run():
+                y, ctx = ops.group_involution_forward(x, field, gmap)
+                return (y, *ops.gi_backward(probe, ctx))
+            assert_unchanged_by_blocks(monkeypatch, block, y, (y, gx, gf), run)
 
 
 class TestGeneratorBackward:

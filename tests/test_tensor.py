@@ -276,25 +276,6 @@ class TestBatchNorm:
         for a, b in zip(*outs):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_float32_matches_float64_on_a_large_map(self):
-        # 32768 rows per channel, stored channels-last, with means well off
-        # zero: float32 running sums over the rows put grad_gamma about 1e-3
-        # off the float64 result; float64 accumulation keeps it near 1e-5
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((32, 8, 32, 32)) + 3.0
-        gy = rng.standard_normal(x.shape) + 1.0
-        params = (rng.uniform(0.5, 1.5, 8), rng.standard_normal(8), np.zeros(8), np.ones(8))
-        outs = []
-        for dtype in (np.float64, np.float32):
-            def cast(a):
-                return np.ascontiguousarray(a.transpose(0, 2, 3, 1), dtype).transpose(0, 3, 1, 2)
-            y, ctx, mean, var = tensor.batch_norm_forward(
-                cast(x), *(p.astype(dtype) for p in params), True)
-            outs.append((y, mean, var, *tensor.batch_norm_backward(cast(gy), ctx)))
-        for want, got in zip(*outs):
-            assert got.dtype == np.float32
-            assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
-
 
 class TestPurity:
     def test_ops_bitwise_repeatable(self):
