@@ -19,7 +19,6 @@ definition; dc_offset is linear, so either view gives the same number.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -27,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import split_rows, write_pgm
+from .config import dump
+from .data import split_rows, write_csv, write_image
 from .errors import ConfigError, UndefinedMetricError
-from .ops import export_kernel_field
 from .tensor import write_tensor4
 
 LF_RADIUS = 1.0
@@ -165,6 +164,15 @@ def sample_stats(field_arr: np.ndarray) -> KernelStats:
     )
 
 
+def export_kernel_field(path, field_arr: np.ndarray) -> None:
+    """Write a kernel field as a tensor container with dims (n*G, k*k, h, w)
+    plus a `key = value` sidecar naming n, G and k."""
+    n, g, k, _, h, w = field_arr.shape
+    write_tensor4(path, field_arr.reshape(n * g, k * k, h, w))
+    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
+        fh.write(dump({"n": n, "G": g, "k": k}))
+
+
 def _finite(values):
     arr = np.asarray(values, dtype=np.float64)
     return arr[np.isfinite(arr)]
@@ -284,10 +292,10 @@ def save_report(outdir, report: AuditReport) -> None:
     with open(os.path.join(outdir, "audit.json"), "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
     k = report.mean_kernel.shape[0]
-    write_pgm(os.path.join(outdir, "mean_kernel.pgm"),
-              np.round(normalize_unit(report.mean_kernel) * 255).astype(np.uint8))
-    write_pgm(os.path.join(outdir, "mean_energy.pgm"),
-              np.round(normalize_unit(report.mean_energy) * 255).astype(np.uint8))
+    write_image(os.path.join(outdir, "mean_kernel.pgm"),
+                np.round(normalize_unit(report.mean_kernel) * 255).astype(np.uint8))
+    write_image(os.path.join(outdir, "mean_energy.pgm"),
+                np.round(normalize_unit(report.mean_energy) * 255).astype(np.uint8))
     write_tensor4(os.path.join(outdir, "mean_kernel.t4"),
                   report.mean_kernel.reshape(1, 1, k, k))
     write_tensor4(os.path.join(outdir, "mean_energy.t4"),
@@ -295,11 +303,7 @@ def save_report(outdir, report: AuditReport) -> None:
     for name, hist in report.histograms.items():
         if hist is None:
             continue
-        with open(os.path.join(outdir, f"hist_{name}.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count_bonafide", "count_attack"])
-            edges = hist["edges"]
-            for i in range(len(edges) - 1):
-                writer.writerow([f"{edges[i]:.17g}", f"{edges[i + 1]:.17g}",
-                                 hist["bonafide"][i], hist["attack"][i]])
+        edges = hist["edges"]
+        write_csv(os.path.join(outdir, f"hist_{name}.csv"),
+                  ["bin_lo", "bin_hi", "count_bonafide", "count_attack"],
+                  zip(edges[:-1], edges[1:], hist["bonafide"], hist["attack"]))

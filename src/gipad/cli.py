@@ -199,8 +199,8 @@ def cmd_audit(args):
     return 0
 
 
-# Published reference costs (params in M, GFLOPs) for matching full-scale
-# configurations, keyed by (groups, reduce, placement, input_size).
+# Published reference costs (params in M, GFLOPs) of the full-scale model
+# (width 1.0, GI kernel 5), keyed by (groups, reduce, placement, input_size).
 REFERENCE_COSTS = {
     (16, 4, "end", 256): (3.476, 0.623),
     (30, 4, "end", 256): (3.497, 0.626),
@@ -218,9 +218,9 @@ REFERENCE_COSTS = {
 
 def cmd_flops(args):
     values = _prepare(args)
-    import csv
     import itertools
 
+    from .data import write_csv
     from .net import build_model, model_flops, param_count
     from .tensor import make_rng
 
@@ -234,27 +234,23 @@ def cmd_flops(args):
     points = [(point, make(ModelConfig, {**values, **dict(zip(axes, point))}))
               for point in itertools.product(*grids)]
 
+    rows = []
+    for point, cfg in points:
+        try:
+            model = build_model(cfg, make_rng(0))
+            params, flops = param_count(model), model_flops(model, cfg.input_size)
+        except GipadError as exc:
+            rows.append([*point, "", "", "", "", "", "", f"error: {exc}"])
+            continue
+        full_scale = (cfg.width_multiplier, cfg.gi_kernel) == (1.0, 5)
+        ref = REFERENCE_COSTS.get(point, ("", "")) if full_scale else ("", "")
+        # str keeps a reference such as 3.476 as published, not as %.17g
+        rows.append([*point, params, flops, f"{params / 1e6:.3f}", f"{flops / 1e9:.3f}",
+                     *map(str, ref), "ok"])
     out_path = os.path.join(values["outdir"], "flops.csv")
-    wrote = 0
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["groups", "reduce", "placement", "input_size",
-                         "params", "flops", "params_m", "gflops",
-                         "ref_params_m", "ref_gflops", "status"])
-        for point, cfg in points:
-            row = list(point)
-            try:
-                model = build_model(cfg, make_rng(0))
-                params = param_count(model)
-                flops = model_flops(model, cfg.input_size)
-                ref = REFERENCE_COSTS.get(point, ("", ""))
-                row += [params, flops, f"{params / 1e6:.3f}",
-                        f"{flops / 1e9:.3f}", ref[0], ref[1], "ok"]
-                wrote += 1
-            except GipadError as exc:
-                row += ["", "", "", "", "", "", f"error: {exc}"]
-            writer.writerow(row)
-    print(f"wrote {wrote} grid rows to {out_path}")
+    write_csv(out_path, ["groups", "reduce", "placement", "input_size", "params", "flops",
+                         "params_m", "gflops", "ref_params_m", "ref_gflops", "status"], rows)
+    print(f"wrote {sum(row[-1] == 'ok' for row in rows)} grid rows to {out_path}")
     return 0
 
 
@@ -262,7 +258,7 @@ def cmd_gradcam(args):
     values = _prepare(args)
     import numpy as np
 
-    from .data import denormalize, preprocess, read_image, write_pgm, write_ppm
+    from .data import denormalize, preprocess, read_image, write_image
     from .net import gradcam, load_checkpoint
 
     if not values["image"]:
@@ -271,13 +267,13 @@ def cmd_gradcam(args):
     frame = read_image(values["image"])
     x = preprocess(frame, model.cfg.input_size)[None]
     heat = gradcam(model, x, values["class_index"])
-    write_pgm(os.path.join(values["outdir"], "heatmap.pgm"),
-              np.round(heat * 255).astype(np.uint8))
+    write_image(os.path.join(values["outdir"], "heatmap.pgm"),
+                np.round(heat * 255).astype(np.uint8))
     base = np.clip(denormalize(x[0]), 0.0, 1.0)
     overlay = base * 0.5
     overlay[:, :, 0] += 0.5 * heat  # red channel carries the activation
-    write_ppm(os.path.join(values["outdir"], "overlay.ppm"),
-              np.round(np.clip(overlay, 0.0, 1.0) * 255).astype(np.uint8))
+    write_image(os.path.join(values["outdir"], "overlay.ppm"),
+                np.round(np.clip(overlay, 0.0, 1.0) * 255).astype(np.uint8))
     print(f"wrote heatmap.pgm and overlay.ppm under {values['outdir']}")
     return 0
 

@@ -1,4 +1,7 @@
-"""Frame ingestion and the desk-scale synthetic benchmark.
+"""Frame ingestion, the desk-scale synthetic benchmark, and the one reader and
+writer of each image and CSV file gipad handles: `read_image`/`write_image`
+for PGM/PPM, `read_csv`/`write_csv` for manifests, scores, histories,
+histograms and the FLOP table.
 
 Frames arrive as individual binary PGM (P5) or PPM (P6) files. Preprocessing
 is: adaptive center crop to the smaller frame dimension, bilinear resize with
@@ -107,19 +110,12 @@ def preprocess(frame: np.ndarray, size: int) -> np.ndarray:
 # PPM / PGM
 # ---------------------------------------------------------------------------
 
-def write_ppm(path, image: np.ndarray) -> None:
-    """Binary P6 writer for uint8 (h, w, 3) images."""
+def write_image(path, image: np.ndarray) -> None:
+    """Binary 8-bit writer: P5 for a uint8 (h, w) image, P6 for (h, w, 3)."""
     arr = np.asarray(image, dtype=np.uint8)
+    magic = "P5" if arr.ndim == 2 else "P6"
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
-
-
-def write_pgm(path, image: np.ndarray) -> None:
-    """Binary P5 writer for uint8 (h, w) images."""
-    arr = np.asarray(image, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
+        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
         fh.write(arr.tobytes())
 
 
@@ -149,8 +145,34 @@ def read_image(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Manifests
+# CSV files and manifests
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: UTF-8, the header line, then `rows`; every float is
+    written as %.17g, so it reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def read_csv(path, what, header) -> list:
+    """The one CSV reader: (line number, fields) for each row after the header
+    line, which must equal `header`; every row must have as many fields."""
+    reader = csv.reader(io.StringIO(read_input(path, what, text=True), newline=""))
+    try:
+        rows = [(reader.line_num, fields) for fields in reader]
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows or rows[0][1] != header:
+        raise DataError(f"{path}: first line must be '{','.join(header)}'")
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+    return rows[1:]
+
 
 @dataclass(frozen=True)
 class ManifestRow:
@@ -166,19 +188,10 @@ class ManifestRow:
 
 def load_manifest(path, subject_disjoint: bool = False) -> list[ManifestRow]:
     """Parse and validate a manifest CSV (header: path,label,split,subject)."""
-    text = read_input(path, "manifest", text=True)
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise DataError(f"{path}: {exc}") from exc
-    if not rows or rows[0] != MANIFEST_HEADER:
-        raise DataError(f"{path}: first line must be '{','.join(MANIFEST_HEADER)}'")
     out = []
     seen_paths = set()
     subjects_by_split = {s: set() for s in SPLITS}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+    for lineno, row in read_csv(path, "manifest", MANIFEST_HEADER):
         p, label, split, subject = (field.strip() for field in row)
         if label not in LABELS:
             raise DataError(f"{path}:{lineno}: unknown label {label!r}")
@@ -201,11 +214,7 @@ def load_manifest(path, subject_disjoint: bool = False) -> list[ManifestRow]:
 
 
 def write_manifest(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for row in rows:
-            writer.writerow([row.path, row.label, row.split, row.subject])
+    write_csv(path, MANIFEST_HEADER, ([r.path, r.label, r.split, r.subject] for r in rows))
 
 
 def split_rows(rows, split: str) -> list[ManifestRow]:
@@ -280,7 +289,7 @@ def generate_synth(spec: SynthSpec, outdir) -> list[ManifestRow]:
         for index in range(getattr(spec, split)):
             patch, label = synth_patch(spec.seed, split, index, spec.size)
             rel = os.path.join(split, f"{label}_{index:05d}.ppm")
-            write_ppm(os.path.join(outdir, rel), patch)
+            write_image(os.path.join(outdir, rel), patch)
             rows.append(ManifestRow(rel, label, split, f"{split}-{index:04d}"))
     write_manifest(os.path.join(outdir, "manifest.csv"), rows)
     return rows

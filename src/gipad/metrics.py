@@ -8,13 +8,12 @@ the threshold counts as a false accept (the boundary belongs to acceptance).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UndefinedMetricError, read_input
+from .data import LABELS, read_csv, write_csv
+from .errors import DataError, UndefinedMetricError
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,6 @@ def metric_report(scores, labels, op: OperatingPoint) -> dict:
     _require_both(bona, attack, "metric_report")
     far, frr, acc = rates_at(scores, labels, op.threshold)
     eer_val, _ = eer(scores, labels)
-    apcer, bpcer = apcer_bpcer(scores, labels, op.threshold)
     _, _, acc_05 = rates_at(scores, labels, 0.5)
     return {
         "accuracy": acc,
@@ -134,9 +132,9 @@ def metric_report(scores, labels, op: OperatingPoint) -> dict:
         "frr": frr,
         "hter": (far + frr) / 2.0,
         "yi": youden_max(scores, labels),
-        "apcer": apcer,
-        "bpcer": bpcer,
-        "acer": acer(apcer, bpcer),
+        "apcer": far,
+        "bpcer": frr,
+        "acer": acer(far, frr),
         "threshold": op.threshold,
         "threshold_source": op.source,
         "n_bonafide": int(bona.size),
@@ -148,36 +146,27 @@ def metric_report(scores, labels, op: OperatingPoint) -> dict:
 # Score files: CSV with header score,label,split
 # ---------------------------------------------------------------------------
 
+SCORES_HEADER = ["score", "label", "split"]
+
+
 def write_scores_csv(path, scores, labels, splits) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "label", "split"])
-        for s, y, sp in zip(scores, labels, splits):
-            label = "bonafide" if y == 1 else "attack"
-            writer.writerow([f"{s:.17g}", label, sp])
+    write_csv(path, SCORES_HEADER,
+              ((s, "bonafide" if y == 1 else "attack", sp)
+               for s, y, sp in zip(scores, labels, splits)))
 
 
 def read_scores_csv(path):
     """Returns (scores, labels, splits) arrays from a score CSV."""
-    reader = csv.reader(io.StringIO(read_input(path, "scores", text=True), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:  # such as a field over the csv module's size limit
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
-    if not rows or rows[0] != ["score", "label", "split"]:
-        raise DataError(f"{path}: first line must be 'score,label,split'")
     scores, labels, splits = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 fields")
-        if row[1] not in ("bonafide", "attack"):
-            raise DataError(f"{path}:{lineno}: unknown label {row[1]!r}")
+    for lineno, (score, label, split) in read_csv(path, "scores", SCORES_HEADER):
+        if label not in LABELS:
+            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
         try:
-            scores.append(float(row[0]))
+            scores.append(float(score))
         except ValueError:
-            raise DataError(f"{path}:{lineno}: score {row[0]!r} is not a number") from None
-        labels.append(1 if row[1] == "bonafide" else 0)
-        splits.append(row[2])
+            raise DataError(f"{path}:{lineno}: score {score!r} is not a number") from None
+        labels.append(1 if label == "bonafide" else 0)
+        splits.append(split)
     return np.array(scores), np.array(labels), splits
 
 

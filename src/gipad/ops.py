@@ -36,7 +36,6 @@ from .tensor import (
     crop_pad,
     pointwise_conv,
     pointwise_conv_backward,
-    write_tensor4,
     zero_pad,
 )
 
@@ -411,11 +410,3 @@ def gi_application_flops(c: int, k: int, h: int, w: int) -> int:
     """Spatial application term of involution-style ops alone."""
     return MAC_FLOPS * c * k * k * h * w
 
-
-def export_kernel_field(path, field_arr: np.ndarray) -> None:
-    """Write a kernel field as a tensor container with dims (n*G, k*k, h, w)
-    plus a sidecar text header naming (n, G, k)."""
-    n, g, k, _, h, w = field_arr.shape
-    write_tensor4(path, field_arr.reshape(n * g, k * k, h, w))
-    with open(str(path) + ".meta", "w", encoding="utf-8") as fh:
-        fh.write(f"n = {n}\nG = {g}\nk = {k}\n")

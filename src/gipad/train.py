@@ -9,14 +9,13 @@ objective hold at once.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import TrainConfig
-from .data import load_frame_tensor, split_rows
+from .data import load_frame_tensor, split_rows, write_csv
 from .errors import ConfigError, InternalError
 from .net import Model, save_checkpoint
 from .tensor import derived_rng
@@ -40,11 +39,7 @@ class TrainHistory:
 
 
 def write_history_csv(path, history: TrainHistory) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "dev_loss", "dev_acc"])
-        for epoch, tl, dl, da in history.rows():
-            writer.writerow([epoch, f"{tl:.17g}", f"{dl:.17g}", f"{da:.17g}"])
+    write_csv(path, ["epoch", "train_loss", "dev_loss", "dev_acc"], history.rows())
 
 
 def smooth_labels(y: np.ndarray, eps: float) -> np.ndarray:

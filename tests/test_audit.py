@@ -246,6 +246,13 @@ class TestAuditRun:
         hist = (tmp_path / "hist_anisotropy.csv").read_text().splitlines()
         assert hist[0] == "bin_lo,bin_hi,count_bonafide,count_attack"
         assert len(hist) == 1 + audit.HISTOGRAM_BINS
+        want = report.histograms["anisotropy"]
+        rows = [f for _, f in data.read_csv(tmp_path / "hist_anisotropy.csv", "histogram",
+                                             hist[0].split(","))]
+        assert [float(f[0]) for f in rows] == want["edges"][:-1]
+        assert [float(f[1]) for f in rows] == want["edges"][1:]
+        assert [int(f[2]) for f in rows] == want["bonafide"]
+        assert [int(f[3]) for f in rows] == want["attack"]
 
     def test_field_export_shape(self, small_run, tmp_path):
         model, rows, root = small_run

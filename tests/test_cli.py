@@ -245,6 +245,22 @@ class TestFlops:
         assert all(a < b for a, b in zip(good, good[1:]))
         assert rows[-1]["status"].startswith("error")
 
+    @pytest.mark.parametrize("flags, ref", [
+        ([], "3.476"),
+        (["--width-multiplier", "0.25", "--gi-kernel", "3"], ""),
+        (["--width-multiplier", "0.25"], ""),
+        (["--gi-kernel", "3"], ""),
+    ], ids=["full_scale", "width_and_kernel", "width", "kernel"])
+    def test_reference_costs_only_for_the_full_scale_model(self, tmp_path, flags, ref):
+        from gipad import cli
+
+        assert cli.main(["flops", "--grid-groups", "16", *flags,
+                         "--outdir", str(tmp_path / "f")]) == 0
+        with open(tmp_path / "f" / "flops.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+        assert row["ref_params_m"] == ref
+
 
 class TestThreads:
     FLAGS = ["flops", "--grid-sizes", "64", "--threads", "1"]

@@ -96,13 +96,13 @@ class TestImageIO:
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, (9, 7, 3), dtype=np.uint8)
         path = tmp_path / "x.ppm"
-        data.write_ppm(path, img)
+        data.write_image(path, img)
         np.testing.assert_array_equal(data.read_image(path), img)
 
     def test_pgm_roundtrip(self, tmp_path):
         img = np.random.default_rng(6).integers(0, 256, (5, 8), dtype=np.uint8)
         path = tmp_path / "x.pgm"
-        data.write_pgm(path, img)
+        data.write_image(path, img)
         np.testing.assert_array_equal(data.read_image(path), img)
 
     def test_missing_file(self):
@@ -156,6 +156,13 @@ class TestManifest:
         with pytest.raises(DataError, match="subject"):
             data.load_manifest(path, subject_disjoint=True)
         assert len(data.load_manifest(path)) == 2  # fine without the flag
+
+    def test_field_over_csv_limit_names_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("path,label,split,subject\na.ppm,bonafide,train,s1\n"
+                        + "b" * 200000 + ".ppm,attack,dev,s2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="manifest.csv:3:"):
+            data.load_manifest(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gipad import metrics
+from gipad import data, metrics
 from gipad.errors import DataError, UndefinedMetricError
 
 
@@ -253,6 +253,8 @@ class TestReportAndFiles:
         np.testing.assert_array_equal(s2, scores)
         np.testing.assert_array_equal(l2, labels)
         assert sp2 == ["test", "test"]
+        rows = data.read_csv(path, "scores", metrics.SCORES_HEADER)
+        assert [(line, float(f[0])) for line, f in rows] == [(2, scores[0]), (3, scores[1])]
 
     def test_scores_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -263,7 +265,8 @@ class TestReportAndFiles:
     @pytest.mark.parametrize("row, line", [
         ("high,bonafide,test", 3),
         ("9" * 200000 + ",attack,test", 3),
-    ], ids=["score_not_a_number", "field_over_limit"])
+        ("0.5,attack", 3),
+    ], ids=["score_not_a_number", "field_over_limit", "missing_field"])
     def test_scores_csv_bad_row_names_its_line(self, tmp_path, row, line):
         path = tmp_path / "bad.csv"
         path.write_text(f"score,label,split\n0.5,bonafide,test\n{row}\n", encoding="utf-8")

@@ -173,3 +173,5 @@ class TestTrainLoop:
         assert lines[0] == "epoch,train_loss,dev_loss,dev_acc"
         assert lines[1].startswith("1,0.5")
         assert len(lines) == 3
+        rows = data.read_csv(path, "history", lines[0].split(","))
+        assert [[float(v) for v in f] for _, f in rows] == [list(r) for r in history.rows()]
