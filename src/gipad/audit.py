@@ -1,8 +1,9 @@
 """Forensics on the generated kernels: spectral and spatial indicators,
 class-wise aggregates, and effect sizes.
 
-Four per-sample indicators are computed from the kernel field that the
-end-placement adaptive block generates (batch norm in infer mode):
+`sample_stats` defines what one audited sample yields: the averaged kernel
+and four indicators of the kernel field that the end-placement adaptive
+block generates (batch norm in infer mode):
 
 * hf_lf: spectral energy outside the low-frequency disc (integer frequency
   radius <= 1, DC included) divided by the energy inside it;
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +62,19 @@ def position_variance(field_arr: np.ndarray) -> float:
     return float(shifted.var(axis=1).mean())
 
 
-def _freq_grid(k: int):
-    f = np.fft.fftfreq(k) * k  # integer frequencies
-    fu, fv = np.meshgrid(f, f, indexing="ij")
-    return fu, fv
-
-
 def kernel_energy(kernel: np.ndarray) -> np.ndarray:
     """k x k DFT magnitude-squared of a single kernel."""
     return np.abs(np.fft.fft2(kernel)) ** 2
+
+
+def _spectrum(kernel: np.ndarray):
+    """DFT energy of a square k x k kernel (k >= 3) and its integer frequencies fu, fv."""
+    k = kernel.shape[0]
+    if k < 3 or kernel.shape != (k, k):
+        raise ConfigError(f"kernel must be square with k >= 3, got {kernel.shape}")
+    f = np.fft.fftfreq(k) * k
+    fu, fv = np.meshgrid(f, f, indexing="ij")
+    return kernel_energy(kernel), fu, fv
 
 
 def hf_lf_ratio(kernel: np.ndarray) -> float:
@@ -79,13 +84,9 @@ def hf_lf_ratio(kernel: np.ndarray) -> float:
     Returns math.inf when the low band is numerically empty; raises on an
     all-zero kernel, whose spectrum carries no information.
     """
-    k = kernel.shape[0]
-    if k < 3 or kernel.shape != (k, k):
-        raise ConfigError(f"kernel must be square with k >= 3, got {kernel.shape}")
-    energy = kernel_energy(kernel)
+    energy, fu, fv = _spectrum(kernel)
     if energy.sum() < DEGENERATE_ENERGY:
         raise UndefinedMetricError("all-zero kernel has no defined HF/LF ratio")
-    fu, fv = _freq_grid(k)
     low = fu * fu + fv * fv <= LF_RADIUS ** 2
     lf = energy[low].sum()
     hf = energy[~low].sum()
@@ -100,11 +101,7 @@ def anisotropy(kernel: np.ndarray) -> float:
     M = sum over non-DC bins of E(f) * f f^T; returns (l1 - l2) / (l1 + l2)
     of M's eigenvalues, and 0 when non-DC energy is numerically zero.
     """
-    k = kernel.shape[0]
-    if k < 3 or kernel.shape != (k, k):
-        raise ConfigError(f"kernel must be square with k >= 3, got {kernel.shape}")
-    energy = kernel_energy(kernel)
-    fu, fv = _freq_grid(k)
+    energy, fu, fv = _spectrum(kernel)
     nondc = (fu != 0) | (fv != 0)
     e = energy[nondc]
     if e.sum() < DEGENERATE_ENERGY:
@@ -135,14 +132,6 @@ def cohens_d(a, b) -> float:
 
 
 @dataclass
-class KernelStats:
-    hf_lf: float
-    anisotropy: float
-    dc_offset: float
-    position_variance: float
-
-
-@dataclass
 class AuditReport:
     per_class: dict
     effect_sizes: dict
@@ -150,18 +139,20 @@ class AuditReport:
     mean_energy: np.ndarray
     histograms: dict
     counts: dict
-    overflow_counts: dict = field(default_factory=dict)
+    overflow_counts: dict
 
 
-def sample_stats(field_arr: np.ndarray) -> KernelStats:
-    """Indicators for one generated field (single sample)."""
+def sample_stats(field_arr: np.ndarray) -> tuple[dict, np.ndarray]:
+    """(indicators keyed by INDICATORS in order, kernel averaged over positions
+    and groups) of one generated field (single sample)."""
     mean_kernel = field_arr.mean(axis=(0, 1, 4, 5))
-    return KernelStats(
-        hf_lf=hf_lf_ratio(mean_kernel),
-        anisotropy=anisotropy(mean_kernel),
-        dc_offset=dc_offset(field_arr),
-        position_variance=position_variance(field_arr),
-    )
+    indicators = {
+        "hf_lf": hf_lf_ratio(mean_kernel),
+        "anisotropy": anisotropy(mean_kernel),
+        "dc_offset": dc_offset(field_arr),
+        "position_variance": position_variance(field_arr),
+    }
+    return indicators, mean_kernel
 
 
 def export_kernel_field(path, field_arr: np.ndarray) -> None:
@@ -173,11 +164,6 @@ def export_kernel_field(path, field_arr: np.ndarray) -> None:
         fh.write(dump({"n": n, "G": g, "k": k}))
 
 
-def _finite(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return arr[np.isfinite(arr)]
-
-
 def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
               export_field_path=None) -> AuditReport:
     """Generate kernel fields over a manifest split and aggregate indicators.
@@ -185,8 +171,8 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
     Per sample, the model runs in infer mode up to the end-placement adaptive
     block, whose kernel generator then gives the field; statistics are
     aggregated per class with Cohen's d reported as attack minus bonafide.
-    Samples whose HF/LF overflows are excluded from that indicator's
-    aggregates and counted separately.
+    A non-finite indicator value is left out of that indicator's aggregates;
+    samples whose HF/LF overflows are also counted separately.
     """
     from .data import load_frame_tensor
 
@@ -200,7 +186,6 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
     values = {name: {"bonafide": [], "attack": []} for name in INDICATORS}
     overflow = {"bonafide": 0, "attack": 0}
     kernels = []
-    energies = []
     exported = False
     for row in chosen:
         x = load_frame_tensor(data_root, row, model.cfg.input_size)[None]
@@ -208,21 +193,18 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
         if export_field_path is not None and not exported:
             export_kernel_field(export_field_path, fld)
             exported = True
-        stats = sample_stats(fld)
-        mean_kernel = fld.mean(axis=(0, 1, 4, 5))
+        indicators, mean_kernel = sample_stats(fld)
         kernels.append(mean_kernel)
-        energies.append(kernel_energy(mean_kernel))
-        for name in INDICATORS:
-            val = getattr(stats, name)
-            if name == "hf_lf" and not math.isfinite(val):
+        for name, val in indicators.items():
+            if math.isfinite(val):
+                values[name][row.label].append(val)
+            elif name == "hf_lf":
                 overflow[row.label] += 1
-                continue
-            values[name][row.label].append(val)
     per_class = {}
     for name in INDICATORS:
         per_class[name] = {}
         for label in ("bonafide", "attack"):
-            arr = _finite(values[name][label])
+            arr = np.asarray(values[name][label], dtype=np.float64)
             per_class[name][label] = {
                 "mean": float(arr.mean()) if arr.size else None,
                 "std": float(arr.std(ddof=1)) if arr.size > 1 else None,
@@ -241,7 +223,7 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
         per_class=per_class,
         effect_sizes=effects,
         mean_kernel=np.mean(kernels, axis=0),
-        mean_energy=np.mean(energies, axis=0),
+        mean_energy=np.mean([kernel_energy(kern) for kern in kernels], axis=0),
         histograms=histograms,
         counts=counts,
         overflow_counts=overflow,
@@ -249,15 +231,15 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
 
 
 def _histogram(by_label):
-    pooled = _finite(by_label["bonafide"] + by_label["attack"])
+    pooled = np.asarray(by_label["bonafide"] + by_label["attack"], dtype=np.float64)
     if pooled.size == 0:
         return None
     lo, hi = float(pooled.min()), float(pooled.max())
     if hi == lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
-    bona, _ = np.histogram(_finite(by_label["bonafide"]), bins=edges)
-    attack, _ = np.histogram(_finite(by_label["attack"]), bins=edges)
+    bona, _ = np.histogram(by_label["bonafide"], bins=edges)
+    attack, _ = np.histogram(by_label["attack"], bins=edges)
     return {"edges": edges.tolist(), "bonafide": bona.tolist(), "attack": attack.tolist()}
 
 
@@ -291,15 +273,11 @@ def save_report(outdir, report: AuditReport) -> None:
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "audit.json"), "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2)
-    k = report.mean_kernel.shape[0]
-    write_image(os.path.join(outdir, "mean_kernel.pgm"),
-                np.round(normalize_unit(report.mean_kernel) * 255).astype(np.uint8))
-    write_image(os.path.join(outdir, "mean_energy.pgm"),
-                np.round(normalize_unit(report.mean_energy) * 255).astype(np.uint8))
-    write_tensor4(os.path.join(outdir, "mean_kernel.t4"),
-                  report.mean_kernel.reshape(1, 1, k, k))
-    write_tensor4(os.path.join(outdir, "mean_energy.t4"),
-                  report.mean_energy.reshape(1, 1, k, k))
+    for name in ("mean_kernel", "mean_energy"):
+        arr = getattr(report, name)
+        write_image(os.path.join(outdir, f"{name}.pgm"),
+                    np.round(normalize_unit(arr) * 255).astype(np.uint8))
+        write_tensor4(os.path.join(outdir, f"{name}.t4"), arr.reshape(1, 1, *arr.shape))
     for name, hist in report.histograms.items():
         if hist is None:
             continue

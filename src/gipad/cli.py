@@ -171,6 +171,10 @@ def cmd_eval(args):
     if values["aggregate"] == "prefix":
         from .metrics import aggregate_by_prefix
         scores, labels = aggregate_by_prefix([r.path for r in test_rows], scores, labels)
+        # synth names a class's frames <label>_<counter>, which gives one group
+        if 1 in ((labels == 0).sum(), (labels == 1).sum()):
+            print(f"warning: --aggregate prefix left a class with a single group: "
+                  f"{len(test_rows)} test frames became {len(labels)} groups", file=sys.stderr)
     report = metric_report(scores, labels, op)
     write_scores_csv(os.path.join(values["outdir"], "scores.csv"),
                      test_scores, y_test.astype(int), [r.split for r in test_rows])

@@ -146,8 +146,10 @@ class SynthSpec:
         for split in SPLITS:
             if getattr(self, split) < 1:
                 raise ConfigError(f"synthetic {split} count must be >= 1")
-        if self.size < 1:
-            raise ConfigError(f"synthetic patch size must be >= 1, got {self.size}")
+        # a larger frame would only be resized down to an input size
+        if not 1 <= self.size <= MAX_INPUT_SIZE:
+            raise ConfigError(f"synthetic patch size must be in [1, {MAX_INPUT_SIZE}], "
+                              f"got {self.size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -349,10 +349,10 @@ class Block:
 class Model:
     """Ordered layer list ending in global pooling and a linear head."""
 
-    def __init__(self, cfg: ModelConfig | None, layers, seed=0):
+    def __init__(self, cfg: ModelConfig | None, layers):
         self.cfg = cfg
         self.layers = list(layers)
-        self.seed = seed
+        self.seed = 0  # the initialisation seed, which checkpoints carry
         self.begin_gi = None
         self.end_gi = None
         for name, layer in self.layers:
@@ -419,15 +419,9 @@ class Model:
         return g
 
 
-def build_model(cfg: ModelConfig, rng=None) -> Model:
-    """Construct the backbone for `cfg`; raises ConfigError on divisibility
-    violations, naming the offending channel/group pair."""
-    seed = 0
-    if rng is None:
-        rng = make_rng(seed)
-    elif isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = make_rng(seed)
+def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
+    """Construct the backbone for `cfg` with weights drawn from `rng`; raises
+    ConfigError on divisibility violations, naming the offending channel/group pair."""
     width = cfg.width_multiplier
     stem_ch = make_divisible(STEM_WIDTH * width)
     final_ch = make_divisible(FINAL_WIDTH * width)
@@ -470,7 +464,7 @@ def build_model(cfg: ModelConfig, rng=None) -> Model:
         ("pool", GlobalPool()),
         ("head", Linear(final_ch, NUM_CLASSES, rng=rng)),
     ]
-    return Model(cfg, layers, seed=seed)
+    return Model(cfg, layers)
 
 
 def param_count(model: Model) -> int:

@@ -1,6 +1,7 @@
 """Kernel indicators against direct-summation DFT oracles, plus the
 capture-and-aggregate audit pass."""
 
+import copy
 import json
 import math
 
@@ -192,6 +193,19 @@ class TestCohensD:
             audit.cohens_d([1.0], [1.0, 2.0])
 
 
+def test_sample_stats_matches_public_indicators():
+    field = np.random.default_rng(5).standard_normal((1, 3, 5, 5, 4, 6))
+    indicators, mean_kernel = audit.sample_stats(field)
+    np.testing.assert_array_equal(mean_kernel, field.mean(axis=(0, 1, 4, 5)))
+    assert tuple(indicators) == audit.INDICATORS
+    assert indicators == {
+        "hf_lf": audit.hf_lf_ratio(mean_kernel),
+        "anisotropy": audit.anisotropy(mean_kernel),
+        "dc_offset": audit.dc_offset(field),
+        "position_variance": audit.position_variance(field),
+    }
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("audit_data")
@@ -253,6 +267,25 @@ class TestAuditRun:
         assert [float(f[1]) for f in rows] == want["edges"][1:]
         assert [int(f[2]) for f in rows] == want["bonafide"]
         assert [int(f[3]) for f in rows] == want["attack"]
+
+    def test_hf_lf_overflow_left_out_and_counted(self, small_run, tmp_path):
+        # the expand weights start at zero, so every position and group gets
+        # this kernel, whose energy lies wholly at frequency (2, 2)
+        model, rows, root = small_run
+        model = copy.deepcopy(model)
+        k, groups = model.cfg.gi_kernel, model.end_gi.groups
+        w = np.cos(2 * np.pi * 2 * np.arange(k) / k)
+        model.end_gi.params["expand_b"] = np.tile(np.outer(w, w).ravel(), groups)
+        report = audit.audit_run(model, rows, max_samples=6, data_root=root)
+        assert report.overflow_counts == report.counts
+        assert report.per_class["hf_lf"]["bonafide"] == {"mean": None, "std": None, "n": 0}
+        assert report.per_class["hf_lf"]["attack"] == {"mean": None, "std": None, "n": 0}
+        assert report.effect_sizes["hf_lf"] is None
+        assert report.histograms["hf_lf"] is None
+        assert report.per_class["anisotropy"]["bonafide"]["n"] == report.counts["bonafide"]
+        audit.save_report(tmp_path, report)
+        assert not (tmp_path / "hist_hf_lf.csv").exists()
+        assert (tmp_path / "hist_anisotropy.csv").exists()
 
     def test_field_export_shape(self, small_run, tmp_path):
         model, rows, root = small_run

@@ -165,6 +165,9 @@ class TestEval:
         with open(tmp_path / "agg" / "metrics.json", encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["n_bonafide"] == 1 and report["n_attack"] == 1
+        warnings = [l for l in proc.stderr.splitlines() if l.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "single group" in warnings[0] and "8 test frames became 2 groups" in warnings[0]
 
     def test_missing_dev_split_rejected(self, workspace, tmp_path):
         dataset, rundir = workspace["dataset"], workspace["rundir"]
@@ -382,6 +385,9 @@ BAD_INPUTS = {
     "groups_0": ([*TRAIN_ARGS, "--groups", "0"], None, 2),
     "synth_size_0": (["synth", "--train", "1", "--dev", "1", "--test", "1", "--size", "0"],
                      None, 2),
+    # a frame numpy cannot allocate (once exit 1)
+    "synth_size_huge": (["synth", "--train", "1", "--dev", "1", "--test", "1",
+                         "--size", "10000000"], None, 2),
     "tau_nan": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
                  "--threshold", "fixed", "--tau", "nan"], None, 2),
     "class_index_2": ([*GRADCAM_ARGS, "--class-index", "2"], None, 2),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gipad import data
-from gipad.errors import DataError
+from gipad.config import MAX_INPUT_SIZE
+from gipad.errors import ConfigError, DataError
 
 from oracles import bilinear_ref
 
@@ -188,6 +189,12 @@ class TestSynth:
         for row in rows1:
             assert (tmp_path / "a" / row.path).read_bytes() == \
                 (tmp_path / "b" / row.path).read_bytes()
+
+    def test_size_above_input_limit_rejected(self):
+        # a frame larger than the largest input size would only be resized down
+        data.SynthSpec(size=MAX_INPUT_SIZE)
+        with pytest.raises(ConfigError, match="patch size"):
+            data.SynthSpec(size=MAX_INPUT_SIZE + 1)
 
     def test_split_counts_and_balance(self, tmp_path):
         spec = data.SynthSpec(seed=1, train=9, dev=5, test=4, size=16)
