@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import dump
 from .data import split_rows, write_csv, write_image
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError
 from .tensor import write_tensor4
 
 LF_RADIUS = 1.0
@@ -172,7 +172,10 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
     block, whose kernel generator then gives the field; statistics are
     aggregated per class with Cohen's d reported as attack minus bonafide.
     A non-finite indicator value is left out of that indicator's aggregates;
-    samples whose HF/LF overflows are also counted separately.
+    samples whose HF/LF overflows are also counted separately. A non-finite
+    field, mean kernel or kernel energy, of a sample or averaged, is a fault
+    of the checkpoint's weights and raises DataError before anything is
+    written; the first sample's field goes to `export_field_path` after that.
     """
     from .data import load_frame_tensor
 
@@ -185,16 +188,22 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
         raise ConfigError(f"no rows in split {split!r}")
     values = {name: {"bonafide": [], "attack": []} for name in INDICATORS}
     overflow = {"bonafide": 0, "attack": 0}
-    kernels = []
-    exported = False
+    kernels, energies = [], []
+    first_field = None
     for row in chosen:
         x = load_frame_tensor(data_root, row, model.cfg.input_size)[None]
-        fld, _ = model.end_gi.field(model.forward(x, until=model.end_gi))
-        if export_field_path is not None and not exported:
-            export_kernel_field(export_field_path, fld)
-            exported = True
-        indicators, mean_kernel = sample_stats(fld)
+        # an overflowing field is reported by _check_finite, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            fld, _ = model.end_gi.field(model.forward(x, until=model.end_gi))
+            indicators, mean_kernel = sample_stats(fld)
+            energy = kernel_energy(mean_kernel)
+        where = os.path.join(data_root, row.path)
+        _check_finite(where, (("field", fld), ("mean kernel", mean_kernel),
+                              ("kernel energy", energy)))
+        if first_field is None:
+            first_field = fld
         kernels.append(mean_kernel)
+        energies.append(energy)
         for name, val in indicators.items():
             if math.isfinite(val):
                 values[name][row.label].append(val)
@@ -219,15 +228,28 @@ def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
     histograms = {name: _histogram(values[name]) for name in INDICATORS}
     counts = {label: sum(1 for r in chosen if r.label == label)
               for label in ("bonafide", "attack")}
+    with np.errstate(over="ignore"):
+        mean_kernel, mean_energy = np.mean(kernels, axis=0), np.mean(energies, axis=0)
+    _check_finite(f"{len(chosen)} {split} samples", (("averaged kernel", mean_kernel),
+                                                      ("averaged energy", mean_energy)))
+    if export_field_path is not None:
+        export_kernel_field(export_field_path, first_field)
     return AuditReport(
         per_class=per_class,
         effect_sizes=effects,
-        mean_kernel=np.mean(kernels, axis=0),
-        mean_energy=np.mean([kernel_energy(kern) for kern in kernels], axis=0),
+        mean_kernel=mean_kernel,
+        mean_energy=mean_energy,
         histograms=histograms,
         counts=counts,
         overflow_counts=overflow,
     )
+
+
+def _check_finite(where, arrays):
+    for what, arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{where}: gi_end generates a non-finite {what}; "
+                            f"the checkpoint's generator weights overflow")
 
 
 def _histogram(by_label):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import SPLITS, SynthSpec
 from .errors import ConfigError, DataError, read_input
+from .tensor import derived_rng
 
 LABELS = ("bonafide", "attack")
 CHANNEL_MEAN = 0.5
@@ -234,7 +235,7 @@ def synth_patch(seed: int, split: str, index: int, size: int):
     Pure function of (seed, split, index): even indices are bonafide, odd
     are attack, keeping every split balanced within one sample.
     """
-    rng = np.random.default_rng([int(seed), _SPLIT_IDS[split], int(index)])
+    rng = derived_rng(seed, _SPLIT_IDS[split], index)
     label = "bonafide" if index % 2 == 0 else "attack"
     yy, xx = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
 

@@ -72,9 +72,9 @@ def make_divisible(v: float, divisor: int = 8) -> int:
     return new_v
 
 
-def kaiming_uniform(rng, shape, fan_in, dtype=np.float64):
+def kaiming_uniform(rng, shape, fan_in):
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,7 @@ class GroupInvolution(Layer):
 
     def __init__(self, c, k, groups, reduce, rng=None):
         super().__init__()
-        if c % groups != 0:
-            raise ConfigError(f"channels {c} not divisible by groups {groups}")
+        self.gmap = ops.GroupMap(c, groups)
         if c % reduce != 0:
             raise ConfigError(f"channels {c} not divisible by reduce ratio {reduce}")
         self.c, self.k, self.groups, self.reduce = c, k, groups, reduce
@@ -244,19 +243,11 @@ class GroupInvolution(Layer):
         self.state["running_mean"] = np.zeros(squeezed)
         self.state["running_var"] = np.ones(squeezed)
 
-    def _generator_params(self):
-        return ops.GeneratorParams(
-            squeeze_w=self.params["squeeze_w"], squeeze_b=self.params["squeeze_b"],
-            gamma=self.params["gamma"], beta=self.params["beta"],
-            running_mean=self.state["running_mean"], running_var=self.state["running_var"],
-            expand_w=self.params["expand_w"], expand_b=self.params["expand_b"],
-            k=self.k, groups=self.groups, reduce=self.reduce)
-
     def field(self, x, train=False, record=False):
         """(kernel field generated from x, generator context); train mode
         updates the generator's batch-norm running statistics."""
         fld, gen_ctx, new_mean, new_var = ops.generate_kernels(
-            x, self._generator_params(), train, record=record)
+            x, self.params, self.state, self.k, train, record=record)
         if train:
             self.state["running_mean"] = new_mean
             self.state["running_var"] = new_var
@@ -265,7 +256,7 @@ class GroupInvolution(Layer):
     def forward(self, x, train=False, record=None):
         record = train if record is None else record
         fld, gen_ctx = self.field(x, train, record)
-        y, gi_ctx = ops.group_involution_forward(x, fld, ops.GroupMap(self.c, self.groups))
+        y, gi_ctx = ops.group_involution_forward(x, fld, self.gmap)
         self._ctx = (gen_ctx, gi_ctx) if record else None
         return y
 
@@ -452,9 +443,6 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
         ("final_act", Act("hardswish")),
     ]
     if cfg.placement in ("end", "both"):
-        if final_ch % cfg.groups != 0:
-            raise ConfigError(
-                f"final channels {final_ch} not divisible by groups {cfg.groups}")
         layers += [
             ("gi_end", GroupInvolution(final_ch, cfg.gi_kernel, cfg.groups, cfg.reduce, rng=rng)),
             ("gi_end_bn", BatchNorm(final_ch)),

@@ -87,32 +87,6 @@ class GroupMap:
                 f"channels {self.channels} not divisible by groups {self.groups}")
 
 
-@dataclass
-class GeneratorParams:
-    """Weights of the per-position kernel generator.
-
-    squeeze (pointwise C -> C/r) -> batch norm -> relu ->
-    expand (pointwise C/r -> G*k*k), reshaped into the kernel field.
-    """
-    squeeze_w: np.ndarray
-    squeeze_b: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    expand_w: np.ndarray
-    expand_b: np.ndarray
-    k: int
-    groups: int
-    reduce: int
-
-    def __post_init__(self):
-        if self.expand_w.shape[0] != self.groups * self.k * self.k:
-            raise ConfigError(
-                f"expand layer must emit groups*k*k = {self.groups * self.k * self.k} "
-                f"channels, got {self.expand_w.shape[0]}")
-
-
 def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     out = (size + 2 * pad - k) // stride + 1
     if out < 1:
@@ -315,45 +289,52 @@ def gi_backward(grad_y, ctx):
     return _tap_adjoint(grad_y, xg, field, 1, field.shape[2] // 2)
 
 
-def generate_kernels(x, params: GeneratorParams, train: bool = False, record=None):
+def generate_kernels(x, params, running, k, train: bool = False, record=None):
     """Produce the kernel field H[n, g, u, v, i, j] from the feature map itself.
+
+    The generator is squeeze (pointwise C -> C/r) -> batch norm -> relu ->
+    expand (pointwise C/r -> G*k*k), reshaped into the field. `params` holds
+    squeeze_w, squeeze_b, gamma, beta, expand_w and expand_b, and `running`
+    the batch norm's running_mean and running_var: a GroupInvolution layer's
+    own `params` and `state`. G is read from expand_w's G*k*k rows.
 
     Returns (field, ctx, new_running_mean, new_running_var). ctx feeds
     generate_kernels_backward and is recorded when `record` is true
     (defaults to `train`); either batch-norm mode can be recorded.
     """
     n, c, h, w = x.shape
-    if c % params.reduce != 0:
-        raise ConfigError(f"channels {c} not divisible by reduce ratio {params.reduce}")
-    if params.squeeze_w.shape != (c // params.reduce, c):
+    squeeze_w, expand_w = params["squeeze_w"], params["expand_w"]
+    if squeeze_w.shape[1] != c:
+        raise ConfigError(f"squeeze weights {squeeze_w.shape} do not fit {c} input channels")
+    if expand_w.shape[0] % (k * k) != 0:
         raise ConfigError(
-            f"squeeze weights {params.squeeze_w.shape} do not fit {c} -> {c // params.reduce}")
+            f"expand layer must emit a multiple of k*k = {k * k} channels, "
+            f"got {expand_w.shape[0]}")
     record = train if record is None else record
-    s = pointwise_conv(x, params.squeeze_w, params.squeeze_b)
+    s = pointwise_conv(x, squeeze_w, params["squeeze_b"])
     b, bn_ctx, new_mean, new_var = batch_norm_forward(
-        s, params.gamma, params.beta, params.running_mean, params.running_var, train,
-        record=record)
+        s, params["gamma"], params["beta"], running["running_mean"], running["running_var"],
+        train, record=record)
     a = activation(b, "relu")
-    e = pointwise_conv(a, params.expand_w, params.expand_b)
-    k = params.k
-    fld = e.reshape(n, params.groups, k, k, h, w)
-    ctx = (x, b, bn_ctx, a, params) if record else None
+    e = pointwise_conv(a, expand_w, params["expand_b"])
+    fld = e.reshape(n, expand_w.shape[0] // (k * k), k, k, h, w)
+    ctx = (x, b, bn_ctx, a, squeeze_w, expand_w) if record else None
     return fld, ctx, new_mean, new_var
 
 
 def generate_kernels_backward(grad_field, ctx):
     """Adjoint of generate_kernels.
 
-    Returns (grad_x, grads) where grads has keys squeeze_w, squeeze_b,
-    gamma, beta, expand_w, expand_b.
+    Returns (grad_x, grads) where grads has the keys of generate_kernels'
+    `params`: squeeze_w, squeeze_b, gamma, beta, expand_w, expand_b.
     """
-    x, b, bn_ctx, a, params = ctx
+    x, b, bn_ctx, a, squeeze_w, expand_w = ctx
     n, _, _, _, h, w = grad_field.shape
-    grad_e = grad_field.reshape(n, params.groups * params.k * params.k, h, w)
-    grad_a, grad_ew, grad_eb = pointwise_conv_backward(grad_e, a, params.expand_w)
+    grad_e = grad_field.reshape(n, expand_w.shape[0], h, w)
+    grad_a, grad_ew, grad_eb = pointwise_conv_backward(grad_e, a, expand_w)
     grad_b = grad_a * activation_grad(b, "relu")
     grad_s, grad_gamma, grad_beta = batch_norm_backward(grad_b, bn_ctx)
-    grad_x, grad_sw, grad_sb = pointwise_conv_backward(grad_s, x, params.squeeze_w)
+    grad_x, grad_sw, grad_sb = pointwise_conv_backward(grad_s, x, squeeze_w)
     grads = {"squeeze_w": grad_sw, "squeeze_b": grad_sb, "gamma": grad_gamma,
              "beta": grad_beta, "expand_w": grad_ew, "expand_b": grad_eb}
     return grad_x, grads

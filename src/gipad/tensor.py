@@ -138,8 +138,7 @@ def activation_grad(x: np.ndarray, kind: str) -> np.ndarray:
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 
-def batch_norm_forward(x, gamma, beta, running_mean, running_var, train,
-                       momentum=BN_MOMENTUM, eps=BN_EPS, record=None):
+def batch_norm_forward(x, gamma, beta, running_mean, running_var, train, record=None):
     """Per-channel batch normalization.
 
     Train mode normalizes by biased batch statistics and returns updated
@@ -159,14 +158,14 @@ def batch_norm_forward(x, gamma, beta, running_mean, running_var, train,
         xhat = x - mean[None, :, None, None]
         # two passes: E[x^2] - E[x]^2 cancels catastrophically when |mean| >> std
         var = np.einsum("nchw,nchw->c", xhat, xhat) / (x.size // x.shape[1])
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std[None, :, None, None]
         y = xhat * gamma[None, :, None, None]
         y += beta[None, :, None, None]
-        new_mean = (1.0 - momentum) * running_mean + momentum * mean
-        new_var = (1.0 - momentum) * running_var + momentum * var
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
+        inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
         scale = gamma * inv_std
         y = x * scale[None, :, None, None]
         y += (beta - running_mean * scale)[None, :, None, None]
@@ -228,8 +227,10 @@ def tensor4_from_bytes(blob: bytes) -> np.ndarray:
 
 
 def write_tensor4(path, arr) -> None:
+    """Serialize first, so that a rejected array leaves no file behind."""
+    blob = tensor4_to_bytes(arr)
     with open(path, "wb") as fh:
-        fh.write(tensor4_to_bytes(arr))
+        fh.write(blob)
 
 
 def read_tensor4(path) -> np.ndarray:

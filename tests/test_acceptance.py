@@ -163,20 +163,20 @@ def test_c03_gradient_checks():
         worst_layer = max(worst_layer, max_rel_err(cgb, fd_grad(conv_loss, bias)))
 
         # kernel generator (infer-mode batch norm)
-        params = random_generator_params(rng, c, k, g, 2)
+        params, running, _ = random_generator_params(rng, c, k, g, 2)
         gprobe = rng.standard_normal((n, g, k, k, h, w))
 
         def gen_loss():
-            fld, _, _, _ = ops.generate_kernels(x, params, train=False)
+            fld, _, _, _ = ops.generate_kernels(x, params, running, k, train=False)
             return float((fld * gprobe).sum())
 
-        _, gctx, _, _ = ops.generate_kernels(x, params, train=False, record=True)
+        _, gctx, _, _ = ops.generate_kernels(x, params, running, k, train=False, record=True)
         ggx, ggrads = ops.generate_kernels_backward(gprobe, gctx)
         worst_layer = max(worst_layer, max_rel_err(ggx, fd_grad(gen_loss, x)))
         worst_layer = max(worst_layer,
-                          max_rel_err(ggrads["expand_w"], fd_grad(gen_loss, params.expand_w)))
+                          max_rel_err(ggrads["expand_w"], fd_grad(gen_loss, params["expand_w"])))
         worst_layer = max(worst_layer,
-                          max_rel_err(ggrads["squeeze_w"], fd_grad(gen_loss, params.squeeze_w)))
+                          max_rel_err(ggrads["squeeze_w"], fd_grad(gen_loss, params["squeeze_w"])))
 
         # squeeze-excitation block
         se = net.SqueezeExcite(c, rng=tensor.make_rng(300 + seed))

@@ -215,6 +215,23 @@ class TestAudit:
                        "--outdir", str(tmp_path / "a"))
         assert proc.returncode == 2
 
+    # 1e308 gives a finite field whose mean kernel overflows; 1e200 a finite
+    # mean kernel whose energy overflows
+    @pytest.mark.parametrize("bias", [1e308, 1e200])
+    def test_overflowing_kernels_are_a_data_error(self, workspace, tmp_path, capsys, bias):
+        from gipad import cli, net
+
+        model = net.load_checkpoint(workspace["rundir"] / "model.ckpt")
+        model.end_gi.params["expand_b"][...] = bias
+        net.save_checkpoint(tmp_path / "big.ckpt", model)
+        outdir = tmp_path / "a"
+        assert cli.main(["audit", "--manifest", str(workspace["dataset"] / "manifest.csv"),
+                         "--checkpoint", str(tmp_path / "big.ckpt"), "--outdir", str(outdir),
+                         "--max-samples", "4", "--export-fields"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "gi_end" in err and ".ppm" in err
+        assert sorted(os.listdir(outdir)) == ["config.resolved"]
+
 
 class TestFlops:
     def test_size_grid_ratios(self, tmp_path):
@@ -279,6 +296,23 @@ class TestThreads:
         proc = run_cli(*self.FLAGS, "--outdir", str(tmp_path / "f"))
         assert proc.returncode == 0, proc.stderr
         assert "warning" not in proc.stderr
+
+    def test_config_resolved_before_numpy_loads(self, tmp_path):
+        # config.py's invariant: a handler resolves its whole configuration,
+        # config file included, before anything imports numpy
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tau = 0.4\nthreshold = fixed\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from gipad import cli\n"
+            "args = cli.build_parser().parse_args(sys.argv[1:])\n"
+            "values = cli._prepare(args)\n"
+            "assert (values['threads'], values['tau']) == (1, 0.4), values\n"
+            "assert 'numpy' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script, "eval", "--threads", "1",
+                               "--config", str(cfg), "--outdir", str(tmp_path / "o")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGradcam:

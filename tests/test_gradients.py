@@ -235,19 +235,19 @@ class TestGeneratorBackward:
 
         rng = np.random.default_rng(5)
         c, k, groups, reduce = 4, 3, 2, 2
-        params = random_generator_params(rng, c, k, groups, reduce)
+        params, running, _ = random_generator_params(rng, c, k, groups, reduce)
         x = rng.standard_normal((2, c, 4, 4))
         probe = rng.standard_normal((2, groups, k, k, 4, 4))
 
         def loss():
-            fld, _, _, _ = ops.generate_kernels(x, params, train=train_mode)
+            fld, _, _, _ = ops.generate_kernels(x, params, running, k, train=train_mode)
             return float((fld * probe).sum())
 
-        _, ctx, _, _ = ops.generate_kernels(x, params, train=train_mode, record=True)
+        _, ctx, _, _ = ops.generate_kernels(x, params, running, k, train=train_mode, record=True)
         gx, grads = ops.generate_kernels_backward(probe, ctx)
         check_grad(gx, loss, x)
         for key in ("squeeze_w", "squeeze_b", "gamma", "beta", "expand_w", "expand_b"):
-            check_grad(grads[key], loss, getattr(params, key))
+            check_grad(grads[key], loss, params[key])
 
 
 class TestLayerBackward:

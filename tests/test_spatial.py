@@ -11,17 +11,17 @@ from oracles import conv2d_ref, gi_ref, involution_ref
 
 
 def random_generator_params(rng, c, k, groups, reduce):
+    """(params, running, k) for ops.generate_kernels."""
     squeezed = c // reduce
-    return ops.GeneratorParams(
-        squeeze_w=rng.standard_normal((squeezed, c)) * 0.3,
-        squeeze_b=rng.standard_normal(squeezed) * 0.1,
-        gamma=rng.uniform(0.5, 1.5, squeezed),
-        beta=rng.standard_normal(squeezed) * 0.1,
-        running_mean=rng.standard_normal(squeezed) * 0.1,
-        running_var=rng.uniform(0.5, 2.0, squeezed),
-        expand_w=rng.standard_normal((groups * k * k, squeezed)) * 0.3,
-        expand_b=rng.standard_normal(groups * k * k) * 0.1,
-        k=k, groups=groups, reduce=reduce)
+    params = {"squeeze_w": rng.standard_normal((squeezed, c)) * 0.3,
+              "squeeze_b": rng.standard_normal(squeezed) * 0.1,
+              "gamma": rng.uniform(0.5, 1.5, squeezed),
+              "beta": rng.standard_normal(squeezed) * 0.1}
+    running = {"running_mean": rng.standard_normal(squeezed) * 0.1,
+               "running_var": rng.uniform(0.5, 2.0, squeezed)}
+    params["expand_w"] = rng.standard_normal((groups * k * k, squeezed)) * 0.3
+    params["expand_b"] = rng.standard_normal(groups * k * k) * 0.1
+    return params, running, k
 
 
 class TestConv2d:
@@ -151,19 +151,19 @@ class TestGenerateKernels:
     def test_shape_contract(self):
         rng = np.random.default_rng(8)
         c, k, groups, reduce = 8, 3, 4, 2
-        params = random_generator_params(rng, c, k, groups, reduce)
+        gen = random_generator_params(rng, c, k, groups, reduce)
         x = rng.standard_normal((2, c, 5, 6))
-        field, _, _, _ = ops.generate_kernels(x, params, train=False)
+        field, _, _, _ = ops.generate_kernels(x, *gen, train=False)
         assert field.shape == (2, groups, k, k, 5, 6)
 
     def test_zero_expand_zero_field(self):
         rng = np.random.default_rng(9)
         c, k, groups, reduce = 4, 3, 2, 2
-        params = random_generator_params(rng, c, k, groups, reduce)
-        params.expand_w[:] = 0.0
-        params.expand_b[:] = 0.0
+        gen = random_generator_params(rng, c, k, groups, reduce)
+        gen[0]["expand_w"][:] = 0.0
+        gen[0]["expand_b"][:] = 0.0
         x = rng.standard_normal((1, c, 4, 4))
-        field, _, _, _ = ops.generate_kernels(x, params, train=False)
+        field, _, _, _ = ops.generate_kernels(x, *gen, train=False)
         np.testing.assert_array_equal(field, 0.0)
         y, _ = ops.group_involution_forward(x, field, ops.GroupMap(c, groups))
         np.testing.assert_array_equal(y, 0.0)
@@ -171,9 +171,9 @@ class TestGenerateKernels:
     def test_constant_input_matches_depthwise_conv(self):
         rng = np.random.default_rng(10)
         c, k, groups, reduce = 6, 3, 3, 2
-        params = random_generator_params(rng, c, k, groups, reduce)
+        gen = random_generator_params(rng, c, k, groups, reduce)
         x = np.ones((1, c, 5, 5)) * rng.standard_normal((1, c, 1, 1))
-        field, _, _, _ = ops.generate_kernels(x, params, train=False)
+        field, _, _, _ = ops.generate_kernels(x, *gen, train=False)
         # spatially constant input -> spatially constant field
         assert np.abs(field - field[:, :, :, :, :1, :1]).max() < 1e-12
         y, _ = ops.group_involution_forward(x, field, ops.GroupMap(c, groups))
@@ -186,9 +186,9 @@ class TestGenerateKernels:
 
     def test_reduce_mismatch(self):
         rng = np.random.default_rng(11)
-        params = random_generator_params(rng, 4, 3, 2, 2)
+        gen = random_generator_params(rng, 4, 3, 2, 2)
         with pytest.raises(ConfigError):
-            ops.generate_kernels(rng.standard_normal((1, 6, 4, 4)), params)
+            ops.generate_kernels(rng.standard_normal((1, 6, 4, 4)), *gen)
 
 
 class TestLayerFlops:

@@ -329,11 +329,14 @@ class TestContainer:
         with pytest.raises(DataError):
             tensor.tensor4_from_bytes(blob[:-4])
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, tmp_path):
         x = np.zeros((1, 1, 1, 2))
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ConfigError):
             tensor.tensor4_to_bytes(x)
+        with pytest.raises(ConfigError):
+            tensor.write_tensor4(tmp_path / "t.t4", x)
+        assert not (tmp_path / "t.t4").exists()
 
     def test_non_finite_bytes_are_data_errors(self):
         blob = tensor.tensor4_to_bytes(np.zeros((1, 1, 1, 2)))

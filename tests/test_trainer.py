@@ -14,8 +14,8 @@ def make_dataset(tmp_path, seed=5, counts=(32, 8, 8), size=32):
     return rows
 
 
-def tiny_model(seed=1):
-    cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24)
+def tiny_model(seed=1, placement="end"):
+    cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24, placement=placement)
     return net.build_model(cfg, tensor.make_rng(seed))
 
 
@@ -156,12 +156,15 @@ class TestTrainLoop:
         assert h1.dev_acc == h2.dev_acc
 
     def test_single_precision_runs(self, tmp_path):
+        # both adaptive blocks: their generators read the cast arrays, not stale copies
         rows = make_dataset(tmp_path)
         cfg = train.TrainConfig(seed=2, max_epochs=1, batch_size=16, precision="single")
-        model = tiny_model(2)
+        model = tiny_model(2, placement="both")
         history, _ = train.train(model, rows, cfg, str(tmp_path))
         assert np.isfinite(history.train_loss[0])
-        assert next(iter(dict(model.parameters()).values())).dtype == np.float32
+        arrays = [*model.parameters(), *model.gradients(), *model.named_state()]
+        assert len(list(model.gradients())) == len(list(model.parameters()))
+        assert [name for name, arr in arrays if arr.dtype != np.float32] == []
 
     def test_history_csv_format(self, tmp_path):
         history = train.TrainHistory(train_loss=[0.5, 0.4], dev_loss=[0.6, 0.45],
