@@ -146,25 +146,36 @@ def cmd_eval(args):
     values = _prepare(args)
     import json
 
+    import numpy as np
+
     from .data import split_rows
     from .metrics import (OperatingPoint, metric_report, operating_point_from_dev,
                           write_scores_csv)
-    from .net import load_checkpoint
+    from .net import freeze, load_checkpoint
     from .train import load_split_tensors, score_batches
 
     rows, root = _load_rows(values)
-    model = load_checkpoint(values["checkpoint"])
+    model = freeze(load_checkpoint(values["checkpoint"]))
+
+    def score_split(split, chosen):
+        x, y = load_split_tensors(root, chosen, model.cfg.input_size)
+        # an overflowing forward is reported below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = score_batches(model, x, values["eval_batch"])
+        if not np.all(np.isfinite(p)):
+            raise DataError(f"{values['checkpoint']}: the forward pass overflows on the "
+                            f"{split} split and gives non-finite scores")
+        return p, y
+
     test_rows = split_rows(rows, "test")
     if not test_rows:
         raise ConfigError("eval requires a test split")
-    x_test, y_test = load_split_tensors(root, test_rows, model.cfg.input_size)
-    test_scores = score_batches(model, x_test, values["eval_batch"])
+    test_scores, y_test = score_split("test", test_rows)
     if values["threshold"] == "dev_eer":
         dev_rows = split_rows(rows, "dev")
         if not dev_rows:
             raise ConfigError("--threshold dev_eer requires a dev split in the manifest")
-        x_dev, y_dev = load_split_tensors(root, dev_rows, model.cfg.input_size)
-        op = operating_point_from_dev(score_batches(model, x_dev, values["eval_batch"]), y_dev)
+        op = operating_point_from_dev(*score_split("dev", dev_rows))
     else:
         op = OperatingPoint(values["tau"], "fixed")
     scores, labels = test_scores, y_test.astype(int)
@@ -188,10 +199,10 @@ def cmd_eval(args):
 def cmd_audit(args):
     values = _prepare(args)
     from .audit import audit_run, save_report
-    from .net import load_checkpoint
+    from .net import freeze, load_checkpoint
 
     rows, root = _load_rows(values)
-    model = load_checkpoint(values["checkpoint"])
+    model = freeze(load_checkpoint(values["checkpoint"]))
     export = os.path.join(values["outdir"], "field.t4") if values["export_fields"] else None
     report = audit_run(model, rows, max_samples=values["max_samples"], data_root=root,
                        split=values["split"], export_field_path=export)
@@ -263,11 +274,11 @@ def cmd_gradcam(args):
     import numpy as np
 
     from .data import denormalize, preprocess, read_image, write_image
-    from .net import gradcam, load_checkpoint
+    from .net import freeze, gradcam, load_checkpoint
 
     if not values["image"]:
         raise ConfigError("--image is required")
-    model = load_checkpoint(values["checkpoint"])
+    model = freeze(load_checkpoint(values["checkpoint"]))
     frame = read_image(values["image"])
     x = preprocess(frame, model.cfg.input_size)[None]
     heat = gradcam(model, x, values["class_index"])

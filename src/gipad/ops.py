@@ -12,15 +12,17 @@ field (n, G, k, k, h, w). It skips taps that read only padding (16 of 25 for
 k = 5 on 2 x 2 maps), runs its taps over cache-sized blocks of output, and
 stores its arrays channels-last, as (n, h, w, S, G) and (k, k, n, h, w, G),
 so numpy's innermost loop runs over groups instead of a short output row;
-logical shapes, tap order and results are the NCHW ones, and its output is
-copied to C-contiguous NCHW. Channel mixing (the stem and every other
-non-depthwise conv, grouped included) is im2col plus tensor.pointwise_conv
-with the block-diagonal (c_out, c_in*k*k) kernel matrix; its adjoint is
+logical shapes, tap order and results are the NCHW ones. Its output is an
+NCHW view of that memory where G or S is 1 (depthwise, one group), else a
+C-contiguous copy. Channel mixing (the stem and every other non-depthwise
+conv, grouped included) is im2col plus tensor.pointwise_conv with the
+block-diagonal (c_out, c_in*k*k) kernel matrix; its adjoint is
 pointwise_conv_backward plus a col2im scatter over the taps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -94,22 +96,26 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def _live_taps(padded_hw, k, stride, pad, out_hw):
     """Window index of every tap (u, v) whose strided window over a map of padded
-    spatial shape padded_hw reads an input cell; the other taps read only padding."""
+    spatial shape padded_hw reads an input cell; the other taps read only padding.
+    Cached, as the same few shapes recur in every pass: on a batch-1 forward
+    building them was about 7% of the time."""
     axes = []
     for padded, out in zip(padded_hw, out_hw):
         # live if the first read past the leading pad comes before the trailing pad
         first = [(u, max(0, -((u - pad) // stride))) for u in range(k)]
         axes.append([(u, slice(u, u + stride * out, stride)) for u, i in first
                      if i < out and u + stride * i < padded - pad])
-    return [(u, v, (Ellipsis, su, sv)) for u, su in axes[0] for v, sv in axes[1]]
+    return tuple((u, v, (Ellipsis, su, sv)) for u, su in axes[0] for v, sv in axes[1])
 
 
-def _tap_forward(x, wt, stride, pad, out_hw):
+def _tap_forward(x, wt, stride, pad, out_hw, bias=None):
     """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v]
     over the zero-padded x viewed as xg (n, G, S, h, w), tap by tap through one
-    buffer. Returns (y, xg, wt): y C-contiguous NCHW; xg and wt, stored
+    buffer; each sum starts from its channel's bias, or from zero. Returns
+    (y, xg, wt): y NCHW (see the module notes); xg and wt, stored
     channels-last, feed _tap_adjoint.
 
     The taps run over blocks of about BLOCK_BYTES of output, whole samples
@@ -124,6 +130,16 @@ def _tap_forward(x, wt, stride, pad, out_hw):
     wt = np.ascontiguousarray(wt.transpose(2, 3, 0, 4, 5, 1)).transpose(2, 5, 0, 1, 3, 4)
     # stored (n, h_out, w_out, S, G), the memory order of xg
     ys = np.zeros((n, h_out, w_out, c // g, g), np.result_type(xg, wt))
+    wm = wt
+    if wt.shape[5] == 1 and stride == 1:
+        # per-channel kernels tiled over an output row, stored (n, k, k, h,
+        # w_out, G): at stride 1 each tap's product then runs over whole
+        # output rows in numpy's inner loop, not over G elements at a time;
+        # the values and so the results are the same
+        wm = np.ascontiguousarray(np.broadcast_to(
+            wt.transpose(0, 2, 3, 4, 5, 1), (*wt.shape[:1], *wt.shape[2:5], w_out, g)))
+        wm = wm.transpose(0, 5, 1, 2, 3, 4)
+    start = None if bias is None else bias.reshape(g, c // g).T
     row_bytes = ys[0, 0].nbytes
     if h_out * row_bytes <= BLOCK_BYTES:  # whole samples
         samples, rows = BLOCK_BYTES // (h_out * row_bytes), h_out
@@ -134,17 +150,19 @@ def _tap_forward(x, wt, stride, pad, out_hw):
     for i, r0 in itertools.product(range(0, n, samples), range(0, h_out, rows)):
         ns, r1 = slice(i, i + samples), min(r0 + rows, h_out)
         yb = ys[ns, r0:r1]
+        if start is not None:  # while the block is in cache
+            yb[...] = start
         bb = buf[:yb.size].reshape(yb.shape).transpose(0, 4, 3, 1, 2)
         yb = yb.transpose(0, 4, 3, 1, 2)
         # a field (GI) is sliced to the block; per-channel kernels broadcast
-        wb = wt[ns if wt.shape[0] > 1 else slice(None), ...,
-                slice(r0, r1) if wt.shape[4] > 1 else slice(None), :]
+        wb = wm[ns if wm.shape[0] > 1 else slice(None), ...,
+                slice(r0, r1) if wm.shape[4] > 1 else slice(None), :]
         for u, v, win in taps:
             rows_in = slice(u + stride * r0, u + stride * r1, stride)
             np.multiply(wb[:, :, None, u, v], xg[ns, ..., rows_in, win[2]], out=bb)
             yb += bb
-    del buf  # before the NCHW copy of ys, which would otherwise raise peak memory
-    return np.ascontiguousarray(ys.transpose(0, 4, 3, 1, 2)).reshape(n, c, h_out, w_out), xg, wt
+    del buf  # before any NCHW copy of ys, which would otherwise raise peak memory
+    return ys.transpose(0, 4, 3, 1, 2).reshape(n, c, h_out, w_out), xg, wt
 
 
 def _tap_adjoint(grad_y, xg, wt, stride, pad):
@@ -194,9 +212,10 @@ def _is_depthwise(weights: ConvWeights, c_in: int) -> bool:
 def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     """Grouped 2-D convolution with zero padding.
 
-    Returns (y, ctx); ctx feeds conv2d_backward and holds the padded input
-    (depthwise: one group per channel, multiplier 1, on the tap engine) or the
-    im2col patch matrix (every other conv, through pointwise_conv).
+    Returns (y, ctx); y is an NCHW view of channels-last memory, and ctx
+    feeds conv2d_backward and holds the padded input (depthwise: one group per
+    channel, multiplier 1, on the tap engine, whose sums start from the bias)
+    or the im2col patch matrix (every other conv, through pointwise_conv).
     """
     n, c_in, h, w = x.shape
     if c_in != weights.c_in:
@@ -207,16 +226,14 @@ def conv2d(x, weights: ConvWeights, bias=None, stride: int = 1, pad: int = 0):
     w_out = _out_size(w, k, stride, pad)
     if _is_depthwise(weights, c_in):
         wt = weights.kernel.reshape(1, c_in, k, k, 1, 1)
-        y, xp, _ = _tap_forward(x, wt, stride, pad, (h_out, w_out))
+        y, xp, _ = _tap_forward(x, wt, stride, pad, (h_out, w_out), bias)
     else:
         # im2col: patches[n, (c, u, v), i, j] = xp[n, c, stride*i+u, stride*j+v],
         # stored channels-last so that pointwise_conv reads it without a copy
         win = sliding_window_view(zero_pad(x, pad), (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
         xp = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
         xp = xp.reshape(n, h_out, w_out, -1).transpose(0, 3, 1, 2)
-        y = pointwise_conv(xp, _kernel_matrix(weights))
-    if bias is not None:
-        y += bias[None, :, None, None]
+        y = pointwise_conv(xp, _kernel_matrix(weights), bias)
     ctx = (xp, weights, stride, pad, x.shape, (h_out, w_out), bias is not None)
     return y, ctx
 
@@ -262,7 +279,8 @@ def group_involution_forward(x, field, gmap: GroupMap):
     y[n,c,i,j] = sum_{u,v} H[n, g(c), u, v, i, j] * x[n, c, i+u-r, j+v-r]
     (stride 1, same zero padding, no channel mixing).
 
-    Returns (y, ctx); ctx feeds gi_backward.
+    Returns (y, ctx); y is the tap engine's NCHW output (module notes), and
+    ctx feeds gi_backward.
     """
     n, c, h, w = x.shape
     if c != gmap.channels:

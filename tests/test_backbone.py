@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gipad import config, net, ops, tensor
-from gipad.errors import ConfigError, DataError
+from gipad.errors import ConfigError, DataError, InternalError
 
 from oracles import reference_forward
 
@@ -207,6 +207,101 @@ class TestForwardUntil:
         fld, _ = gi.field(x)
         applied, _ = ops.group_involution_forward(x, fld, ops.GroupMap(gi.c, gi.groups))
         np.testing.assert_array_equal(applied, gi.forward(x))
+
+    def test_layer_not_in_the_model_is_an_internal_error(self):
+        model = net.build_model(tiny_cfg(), tensor.make_rng(33))
+        frozen = net.freeze(model)
+        x = np.zeros((1, 3, 32, 32))
+        with pytest.raises(InternalError, match="not one of this model's layers"):
+            model.forward(x, until=frozen.end_gi)
+        with pytest.raises(InternalError, match="not one of this model's layers"):
+            frozen.forward(x, until=model.end_gi)
+
+
+def trained_like(model, seed, expand_scale):
+    """Small seeded moves of every batch norm and of the generators' expand
+    weights, as training would make: with identity batch norms folding would
+    be exact by accident, and with a zero expand layer every kernel is the
+    identity."""
+    rng = np.random.default_rng(seed)
+    for name, arr in model.parameters():
+        if name.endswith(".expand_w"):
+            arr[...] = rng.normal(0.0, expand_scale, arr.shape)
+        elif name.endswith(".gamma"):
+            arr *= 1.0 + rng.normal(0.0, 0.05, arr.shape)
+        elif name.endswith(".beta"):
+            arr += rng.normal(0.0, 0.05, arr.shape)
+    for name, arr in model.named_state():
+        if name.endswith(".running_mean"):
+            arr += rng.normal(0.0, 0.05, arr.shape)
+        else:
+            arr *= np.exp(rng.normal(0.0, 0.05, arr.shape))
+    return model
+
+
+def max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# the frozen model's parity bound against the live infer-mode forward; it
+# measures 2e-14 on the full-width model at 256x256 and 5e-15 on the desk model
+FROZEN_RTOL = 1e-12
+
+
+class TestFrozen:
+    @pytest.fixture(scope="class", params=["desk", "desk_both", "full_256"])
+    def models(self, request):
+        if request.param.startswith("desk"):
+            placement = "both" if request.param == "desk_both" else "end"
+            cfg = net.ModelConfig(width_multiplier=0.25, input_size=64, placement=placement)
+            n, scale = 4, 0.02
+        else:
+            cfg, n, scale = net.ModelConfig(), 1, 0.002
+        live = trained_like(net.build_model(cfg, tensor.make_rng(40)), 41, scale)
+        x = np.random.default_rng(42).standard_normal((n, 3, cfg.input_size, cfg.input_size))
+        return live, net.freeze(live), x
+
+    def test_logits_match_live(self, models):
+        live, frozen, x = models
+        assert max_rel(frozen.forward(x), live.forward(x, train=False, record=False)) \
+            < FROZEN_RTOL
+
+    def test_end_gi_input_and_field_match_live(self, models):
+        live, frozen, x = models
+        want = live.forward(x[:1], until=live.end_gi)
+        got = frozen.forward(x[:1], until=frozen.end_gi)
+        assert frozen.end_gi is not live.end_gi
+        assert max_rel(got, want) < FROZEN_RTOL
+        assert max_rel(frozen.end_gi.field(got)[0], live.end_gi.field(want)[0]) < FROZEN_RTOL
+
+    def test_live_model_unchanged(self):
+        live = trained_like(net.build_model(tiny_cfg(), tensor.make_rng(43)), 44, 0.02)
+        x = np.random.default_rng(45).standard_normal((2, 3, 32, 32))
+        before = [arr.copy() for _, arr in (*live.parameters(), *live.named_state())]
+        logits = live.forward(x)
+        net.freeze(live).forward(x)
+        after = [arr for _, arr in (*live.parameters(), *live.named_state())]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        assert live.forward(x).tobytes() == logits.tobytes()
+
+    def test_inference_only(self):
+        frozen = net.freeze(net.build_model(tiny_cfg(), tensor.make_rng(46)))
+        x = np.zeros((1, 3, 32, 32))
+        for kwargs in ({"train": True}, {"record": True}):
+            with pytest.raises(InternalError, match="inference only"):
+                frozen.forward(x, **kwargs)
+        with pytest.raises(InternalError, match="no backward"):
+            frozen.backward(np.zeros((1, 2)))
+
+    def test_tap_layers_of_the_live_model_keep_nchw_memory(self):
+        # the frozen model keeps the tap engine's channels-last output; the
+        # live layers copy it to NCHW, as training's batch norm expects
+        rng = tensor.make_rng(47)
+        x = rng.standard_normal((2, 8, 5, 5))
+        for layer in (net.Conv(8, 8, 3, groups=8, rng=rng),
+                      net.GroupInvolution(8, 3, 8, 2, rng=rng),
+                      net.GroupInvolution(8, 3, 2, 2, rng=rng)):
+            assert layer.forward(x).flags.c_contiguous
 
 
 class TestCheckpoint:

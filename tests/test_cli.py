@@ -169,6 +169,22 @@ class TestEval:
         assert len(warnings) == 1
         assert "single group" in warnings[0] and "8 test frames became 2 groups" in warnings[0]
 
+    def test_overflowing_forward_is_a_data_error(self, workspace, tmp_path, capsys):
+        from gipad import cli, net
+
+        model = net.load_checkpoint(workspace["rundir"] / "model.ckpt")
+        head = model.layers[-1][1]
+        head.params["w"][...] = 1e308
+        head.params["b"][...] = 1e308
+        net.save_checkpoint(tmp_path / "big.ckpt", model)
+        outdir = tmp_path / "ev"
+        assert cli.main(["eval", "--manifest", str(workspace["dataset"] / "manifest.csv"),
+                         "--checkpoint", str(tmp_path / "big.ckpt"),
+                         "--outdir", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "big.ckpt" in err and "test split" in err
+        assert sorted(os.listdir(outdir)) == ["config.resolved"]
+
     def test_missing_dev_split_rejected(self, workspace, tmp_path):
         dataset, rundir = workspace["dataset"], workspace["rundir"]
         stripped = tmp_path / "nodev.csv"
