@@ -5,9 +5,13 @@ before global average pooling, followed by a two-logit linear head.
 Layers are thin wrappers over the functional ops in `tensor` and `ops`: each
 holds its parameters in a `params` dict, non-learnable state (batch-norm
 running statistics) in `state`, and the context of its last recorded forward
-pass. Backward passes are hand-derived and run in reverse layer order; each
-writes its parameter gradients into the parallel `grads` dict, so a model is
-trained without any autograd machinery.
+pass. Each batch norm applies the activation that follows it, MobileNetV3's
+conv -> BN -> activation step. Backward passes are hand-derived and run in
+reverse layer order; each writes its parameter gradients into the parallel
+`grads` dict, so a model is trained without any autograd machinery.
+
+`freeze` builds the inference-only copy that eval, audit and gradcam run:
+every conv with its batch norm folded in, and plain copies of the rest.
 """
 
 from __future__ import annotations
@@ -150,25 +154,38 @@ class Pointwise(Layer):
 
 
 class BatchNorm(Layer):
-    def __init__(self, c):
+    """Per-channel batch norm, then the activation `act` on its fresh output
+    (none when act is None): the conv -> BN -> activation step of MobileNetV3."""
+
+    def __init__(self, c, act=None):
         super().__init__()
+        self.act = act
         self.params["gamma"] = np.ones(c)
         self.params["beta"] = np.zeros(c)
         self.state["running_mean"] = np.zeros(c)
         self.state["running_var"] = np.ones(c)
 
     def forward(self, x, train=False, record=None):
+        record = train if record is None else record
         y, ctx, new_mean, new_var = batch_norm_forward(
             x, self.params["gamma"], self.params["beta"],
             self.state["running_mean"], self.state["running_var"], train, record=record)
         if train:
             self.state["running_mean"] = new_mean
             self.state["running_var"] = new_var
+        if self.act is not None and record:  # the backward needs the pre-activation
+            ctx, y = (ctx, y), activation(y, self.act)
+        elif self.act is not None:
+            activation(y, self.act, out=y)
         self._ctx = ctx
         return y
 
     def backward(self, grad_y):
-        grad_x, self.grads["gamma"], self.grads["beta"] = batch_norm_backward(grad_y, self._ctx)
+        ctx = self._ctx
+        if self.act is not None:
+            ctx, pre = ctx
+            grad_y = grad_y * activation_grad(pre, self.act)
+        grad_x, self.grads["gamma"], self.grads["beta"] = batch_norm_backward(grad_y, ctx)
         return grad_x
 
 
@@ -310,11 +327,9 @@ class Block:
         seq = []
         if c_exp != c_in:
             seq += [("expand", Pointwise(c_in, c_exp, rng=rng)),
-                    ("expand_bn", BatchNorm(c_exp)),
-                    ("expand_act", Act(act))]
+                    ("expand_bn", BatchNorm(c_exp, act))]
         seq += [("depth", Conv(c_exp, c_exp, k, stride=stride, groups=c_exp, rng=rng)),
-                ("depth_bn", BatchNorm(c_exp)),
-                ("depth_act", Act(act))]
+                ("depth_bn", BatchNorm(c_exp, act))]
         if use_se:
             seq += [("se", SqueezeExcite(c_exp, rng=rng))]
         seq += [("project", Pointwise(c_exp, c_out, rng=rng)),
@@ -328,7 +343,11 @@ class Block:
         y = x
         for _, layer in self.seq:
             y = layer.forward(y, train=train, record=record)
-        return y + x if self.residual else y
+        if self.residual:
+            # in place: the last layer (project_bn, or the frozen model's
+            # folded project conv) returns a fresh array
+            y += x
+        return y
 
     def backward(self, grad_y):
         g = grad_y
@@ -424,16 +443,16 @@ class Model:
 class FoldedConv(Layer):
     """A Conv or Pointwise with the infer-mode BatchNorm after it folded in:
     the kernel scaled per output channel, the bias beta - running_mean*scale.
-    The activation after the batch norm, if any, runs in place on the fresh
-    output, which stays channels-last."""
+    The batch norm's activation, if any, runs in place on the fresh output,
+    which stays channels-last."""
 
-    def __init__(self, conv, bn, act):
+    def __init__(self, conv, bn):
         super().__init__()
         scale, self.bias = batch_norm_affine(bn.params["gamma"], bn.params["beta"],
                                              bn.state["running_mean"], bn.state["running_var"])
         if "b" in conv.params:
             self.bias = self.bias + scale * conv.params["b"]
-        self.act = act.kind if act is not None else None
+        self.act = bn.act
         if isinstance(conv, Conv):
             self.weights = ops.ConvWeights(conv.params["kernel"] * scale[:, None, None, None],
                                            conv.groups)
@@ -447,50 +466,6 @@ class FoldedConv(Layer):
         else:
             y, _ = ops.conv2d(x, self.weights, self.bias, stride=self.stride, pad=self.pad)
         return y if self.act is None else activation(y, self.act, out=y)
-
-
-class FrozenInvolution(GroupInvolution):
-    """The adaptive block of a frozen model: a copy of the live block, whose
-    generator stays unfolded, then the BatchNorm after the GI op as an affine
-    step and the activation, both in place. One generated kernel serves every
-    channel of a group, so there is no per-channel weight to fold into."""
-
-    def __init__(self, gi, bn, act):
-        Layer.__init__(self)
-        self.gmap, self.c, self.k, self.groups, self.reduce = (
-            gi.gmap, gi.c, gi.k, gi.groups, gi.reduce)
-        self.params = {k: v.copy() for k, v in gi.params.items()}
-        self.state = {k: v.copy() for k, v in gi.state.items()}
-        scale, shift = batch_norm_affine(bn.params["gamma"], bn.params["beta"],
-                                         bn.state["running_mean"], bn.state["running_var"])
-        self.scale, self.shift = scale[:, None, None], shift[:, None, None]
-        self.act = act.kind if act is not None else None
-
-    def forward(self, x, train=False, record=None):
-        fld, _ = self.field(x)
-        y, _ = ops.group_involution_forward(x, fld, self.gmap)
-        y *= self.scale
-        y += self.shift
-        return y if self.act is None else activation(y, self.act, out=y)
-
-
-class FrozenBlock:
-    """Frozen inverted residual: the block's frozen steps, then the residual
-    added in place to the project layer's fresh output. That saves an array
-    the size of the block's output: about 12 MB of peak RSS on perfbench's
-    eval_audit."""
-
-    def __init__(self, block):
-        self.residual = block.residual
-        self.seq = _frozen_steps(block.seq)
-
-    def forward(self, x, train=False, record=None):
-        y = x
-        for _, layer in self.seq:
-            y = layer.forward(y)
-        if self.residual:
-            y += x
-        return y
 
 
 class FrozenModel(Model):
@@ -508,33 +483,28 @@ class FrozenModel(Model):
 
 
 def _frozen_steps(seq):
-    steps, i = [], 0
-    while i < len(seq):
-        name, layer = seq[i]
-        after = [leaf for _, leaf in seq[i + 1:i + 3]]
-        if isinstance(layer, Block):
-            step = FrozenBlock(layer)
-        elif isinstance(layer, (Conv, Pointwise, GroupInvolution)) and after and \
-                isinstance(after[0], BatchNorm):
-            act = after[1] if len(after) > 1 and isinstance(after[1], Act) else None
-            cls = FrozenInvolution if isinstance(layer, GroupInvolution) else FoldedConv
-            step = cls(layer, after[0], act)
-            i += 1 if act is None else 2
+    steps = []
+    for name, layer in seq:
+        prev = steps[-1][1] if steps else None
+        if isinstance(layer, BatchNorm) and isinstance(prev, (Conv, Pointwise)):
+            steps[-1] = (steps[-1][0], FoldedConv(prev, layer))
+        elif isinstance(layer, Block):
+            steps.append((name, copy.copy(layer)))
+            steps[-1][1].seq = _frozen_steps(layer.seq)
         else:
-            step = copy.deepcopy(layer)
-        steps.append((name, step))
-        i += 1
+            steps.append((name, copy.deepcopy(layer)))
     return steps
 
 
 def freeze(model: Model) -> FrozenModel:
-    """An inference-only copy of `model`, built once per command: each Conv,
-    Pointwise and GroupInvolution takes the infer-mode BatchNorm and the Act
-    after it (FoldedConv, FrozenInvolution), blocks add their residual in
-    place (FrozenBlock), and every other layer is copied. The live model is
-    not changed. Activations stay channels-last between layers. Logits agree
-    with the live infer-mode forward within 1e-12 relative (5e-15 measured
-    on the desk model, 2e-14 on the full-width model at 256x256)."""
+    """An inference-only copy of `model`, built once per command: each Conv
+    or Pointwise takes the infer-mode BatchNorm after it (FoldedConv), each
+    Block is a copy whose own layers are frozen the same way, and every other
+    layer, the GroupInvolution and its BatchNorm among them, is deep-copied
+    and runs in infer mode. The live model is not changed. Activations stay
+    channels-last between layers. Logits agree with the live infer-mode
+    forward within 1e-12 relative (5e-15 measured on the desk model, 2e-14
+    on the full-width model at 256x256)."""
     return FrozenModel(model.cfg, _frozen_steps(model.layers))
 
 
@@ -546,8 +516,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
     final_ch = make_divisible(FINAL_WIDTH * width)
     layers = [
         ("stem", Conv(3, stem_ch, 3, stride=2, rng=rng)),
-        ("stem_bn", BatchNorm(stem_ch)),
-        ("stem_act", Act("hardswish")),
+        ("stem_bn", BatchNorm(stem_ch, "hardswish")),
     ]
     if cfg.placement in ("begin", "both"):
         g_begin = min(cfg.groups, stem_ch)
@@ -556,8 +525,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
                 f"stem channels {stem_ch} not divisible by begin groups {g_begin}")
         layers += [
             ("gi_begin", GroupInvolution(stem_ch, cfg.gi_kernel, g_begin, cfg.reduce, rng=rng)),
-            ("gi_begin_bn", BatchNorm(stem_ch)),
-            ("gi_begin_act", Act("hardswish")),
+            ("gi_begin_bn", BatchNorm(stem_ch, "hardswish")),
         ]
     ch = stem_ch
     for i, (k, exp, out, use_se, act, stride) in enumerate(STAGES):
@@ -567,14 +535,12 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
         ch = c_out
     layers += [
         ("final", Pointwise(ch, final_ch, rng=rng)),
-        ("final_bn", BatchNorm(final_ch)),
-        ("final_act", Act("hardswish")),
+        ("final_bn", BatchNorm(final_ch, "hardswish")),
     ]
     if cfg.placement in ("end", "both"):
         layers += [
             ("gi_end", GroupInvolution(final_ch, cfg.gi_kernel, cfg.groups, cfg.reduce, rng=rng)),
-            ("gi_end_bn", BatchNorm(final_ch)),
-            ("gi_end_act", Act("hardswish")),
+            ("gi_end_bn", BatchNorm(final_ch, "hardswish")),
         ]
     layers += [
         ("pool", GlobalPool()),
@@ -717,7 +683,7 @@ def load_checkpoint(path) -> Model:
         pos += clen
         (mlen,) = struct.unpack_from("<I", body, pos)
         pos += 4
-        manifest = [(parts[0], int(parts[1])) for parts in
+        manifest = [(parts[0], int(parts[1]), tuple(int(d) for d in parts[2:])) for parts in
                     (line.split(",") for line in body[pos:pos + mlen].decode("utf-8").splitlines())]
         pos += mlen
         model = build_model(cfg, make_rng(seed))
@@ -728,14 +694,18 @@ def load_checkpoint(path) -> Model:
     arrays.update(dict(model.named_state()))
     blobs = memoryview(body)[pos:]
     seen = set()
-    for name, offset in manifest:
+    for name, offset, dims in manifest:
         if name not in arrays:
             raise DataError(f"{path}: checkpoint entry {name!r} not present in model")
         target = arrays[name]
+        shape = _pad4(target.shape)
+        if dims != shape or offset < 0:
+            raise DataError(f"{path}: manifest entry {name!r} has dims {dims} at offset "
+                            f"{offset}, model expects {shape} at an offset of 0 or more")
         loaded = tensor4_from_bytes(blobs[offset:])
-        if loaded.size != target.size:
-            raise DataError(f"{path}: entry {name!r} has {loaded.size} values, "
-                            f"model expects {target.size}")
+        if loaded.shape != shape:
+            raise DataError(f"{path}: entry {name!r} holds a container of dims {loaded.shape}, "
+                            f"model expects {shape}")
         target[...] = loaded.reshape(target.shape)
         seen.add(name)
     missing = set(arrays) - seen

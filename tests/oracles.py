@@ -239,8 +239,9 @@ def _leaf_ref(leaf, y):
     if isinstance(leaf, net.Pointwise):
         return _pointwise_ref(y, leaf.params["w"], leaf.params.get("b"))
     if isinstance(leaf, net.BatchNorm):
-        return _bn_ref(y, leaf.params["gamma"], leaf.params["beta"],
-                       leaf.state["running_mean"], leaf.state["running_var"])
+        y = _bn_ref(y, leaf.params["gamma"], leaf.params["beta"],
+                    leaf.state["running_mean"], leaf.state["running_var"])
+        return y if leaf.act is None else _act_ref(y, leaf.act)
     if isinstance(leaf, net.Act):
         return _act_ref(y, leaf.kind)
     if isinstance(leaf, net.SqueezeExcite):

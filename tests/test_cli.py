@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -395,6 +396,15 @@ TRAIN_ARGS = ["train", "--manifest", "{manifest}", *TRAIN_FLAGS]
 GRADCAM_ARGS = ["gradcam", "--checkpoint", "{ckpt}", "--image", "{image}"]
 BAD_CKPT_ARGS = ["eval", "--manifest", "{manifest}", "--checkpoint", "{tmp}/bad.ckpt"]
 BAD_MANIFEST_ARGS = ["eval", "--manifest", "{tmp}/bad.ppm", "--checkpoint", "{ckpt}"]
+
+
+def offset_from_the_end(entry):
+    """A manifest entry with its offset rewritten as a negative index to the
+    same container, which is the last one when the entry is the last line."""
+    name, _, *dims = entry.group().split(b",")
+    return b",".join([name, b"%d" % -(20 + 8 * math.prod(map(int, dims))), *dims])
+
+
 BAD_INPUTS = {
     "empty_image": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"], b"", 3),
     "truncated_header": (["gradcam", "--checkpoint", "{ckpt}", "--image", "{tmp}/bad.ppm"],
@@ -415,6 +425,11 @@ BAD_INPUTS = {
                                   (0, rb"groups = \S+", b"groups = xx"), 3),
     "checkpoint_offset_not_int": (["eval", "--manifest", "{manifest}",
                                    "--checkpoint", "{tmp}/bad.ckpt"], (1, rb",0,", b",zz,"), 3),
+    # the same values under other dims, and the last container read from the end
+    "checkpoint_dims_transposed": (BAD_CKPT_ARGS, (1, rb"stem\.kernel,0,8,3,3,3",
+                                                   b"stem.kernel,0,3,8,3,3"), 3),
+    "checkpoint_offset_negative": (BAD_CKPT_ARGS,
+                                   (1, rb"[^\n]+(?=\n\Z)", offset_from_the_end), 3),
     "checkpoint_placement_unknown": (BAD_CKPT_ARGS,
                                      (0, rb"placement = \S+", b"placement = sideways"), 3),
     "checkpoint_groups_indivisible": (BAD_CKPT_ARGS, (0, rb"groups = \S+", b"groups = 7"), 3),

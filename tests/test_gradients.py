@@ -262,7 +262,12 @@ class TestGeneratorBackward:
 class TestLayerBackward:
     def _layer_check(self, layer, x, seed, train=True, tol=FD_TOL):
         rng = np.random.default_rng(seed)
+        x_before = x.copy()
+        # an unrecorded forward may work in place on its own output, never on x
+        plain = layer.forward(x, train=train, record=False)
+        assert x.tobytes() == x_before.tobytes()
         y = layer.forward(x, train=train, record=True)
+        assert plain.tobytes() == y.tobytes()
         probe = rng.standard_normal(y.shape)
 
         def loss():
@@ -280,8 +285,9 @@ class TestLayerBackward:
         x = rng.standard_normal((2, 8, 4, 4))
         self._layer_check(layer, x, seed=60)
 
-    def test_batch_norm_train(self):
-        layer = net.BatchNorm(3)
+    @pytest.mark.parametrize("act", [None, "relu", "hardswish"])
+    def test_batch_norm_train(self, act):
+        layer = net.BatchNorm(3, act)
         rng = np.random.default_rng(7)
         layer.params["gamma"] = rng.uniform(0.5, 1.5, 3)
         layer.params["beta"] = rng.standard_normal(3) * 0.2
@@ -289,8 +295,9 @@ class TestLayerBackward:
         # running stats are replaced every train forward; gradients unaffected
         self._layer_check(layer, x, seed=70)
 
-    def test_batch_norm_infer(self):
-        layer = net.BatchNorm(3)
+    @pytest.mark.parametrize("act", [None, "relu", "hardswish"])
+    def test_batch_norm_infer(self, act):
+        layer = net.BatchNorm(3, act)
         rng = np.random.default_rng(8)
         layer.state["running_mean"] = rng.standard_normal(3) * 0.3
         layer.state["running_var"] = rng.uniform(0.5, 2.0, 3)
