@@ -32,7 +32,6 @@ SETTINGS = {
     "checkpoint": Setting(str, ""),
     "threshold": Setting(str, "dev_eer", ("dev_eer", "fixed")),
     "tau": Setting(float, 0.5),
-    "eval_batch": Setting(int, 256),
     "aggregate": Setting(str, "none", ("none", "prefix")),
     "split": Setting(str, "test", SPLITS),
     "max_samples": Setting(int, 256),
@@ -143,6 +142,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    """Score the test split, and the dev split for a dev-EER threshold, then
+    write scores.csv and metrics.json. Each split is read from disk and
+    scored one batch of `train.score_batch_size` frames at a time, so memory
+    holds one batch of frames and activations whatever the split's size."""
     values = _prepare(args)
     import json
 
@@ -152,20 +155,27 @@ def cmd_eval(args):
     from .metrics import (OperatingPoint, metric_report, operating_point_from_dev,
                           write_scores_csv)
     from .net import freeze, load_checkpoint
-    from .train import load_split_tensors, score_batches
+    from .train import load_split_tensors, score_batch_size, score_batches
 
     rows, root = _load_rows(values)
     model = freeze(load_checkpoint(values["checkpoint"]))
+    batch = score_batch_size(model)
 
     def score_split(split, chosen):
-        x, y = load_split_tensors(root, chosen, model.cfg.input_size)
-        # an overflowing forward is reported below, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = score_batches(model, x, values["eval_batch"])
+        scores, labels = [], []
+        for start in range(0, len(chosen), batch):
+            x, y = load_split_tensors(root, chosen[start:start + batch], model.cfg.input_size)
+            # an overflowing forward is reported below, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores.append(score_batches(model, x))
+            labels.append(y)
+        p = np.concatenate(scores)
         if not np.all(np.isfinite(p)):
             raise DataError(f"{values['checkpoint']}: the forward pass overflows on the "
                             f"{split} split and gives non-finite scores")
-        return p, y
+        print(f"eval: scored {len(chosen)} {split} frames in batches of {batch}",
+              file=sys.stderr)
+        return p, np.concatenate(labels)
 
     test_rows = split_rows(rows, "test")
     if not test_rows:
@@ -302,7 +312,7 @@ COMMANDS = {
               ("manifest", "subject_disjoint", *OBJECT_SETTINGS[ModelConfig],
                "label_smoothing", "lr", "batch_size", "max_epochs", "patience", "precision")),
     "eval": (cmd_eval, "score a test split and report metrics",
-             ("manifest", "checkpoint", "threshold", "tau", "eval_batch", "aggregate")),
+             ("manifest", "checkpoint", "threshold", "tau", "aggregate")),
     "audit": (cmd_audit, "kernel audit over a manifest split",
               ("manifest", "checkpoint", "split", "max_samples", "export_fields")),
     "flops": (cmd_flops, "parameter/FLOP table over a config grid",

@@ -132,6 +132,7 @@ class Conv(Layer):
 
 class Pointwise(Layer):
     """1x1 convolution; bias optional (off inside BN-normalized blocks)."""
+    k = stride = 1  # the shape rule of a Conv, which `layer_shapes` reads
 
     def __init__(self, c_in, c_out, bias=False, rng=None):
         super().__init__()
@@ -453,18 +454,18 @@ class FoldedConv(Layer):
         if "b" in conv.params:
             self.bias = self.bias + scale * conv.params["b"]
         self.act = bn.act
+        self.c_out, self.k, self.stride = conv.c_out, conv.k, conv.stride
         if isinstance(conv, Conv):
             self.weights = ops.ConvWeights(conv.params["kernel"] * scale[:, None, None, None],
                                            conv.groups)
-            self.stride, self.pad = conv.stride, conv.k // 2
         else:
-            self.weights, self.stride = conv.params["w"] * scale[:, None], None
+            self.weights = conv.params["w"] * scale[:, None]
 
     def forward(self, x, train=False, record=None):
-        if self.stride is None:
-            y = pointwise_conv(x, self.weights, self.bias)
+        if isinstance(self.weights, ops.ConvWeights):
+            y, _ = ops.conv2d(x, self.weights, self.bias, stride=self.stride, pad=self.k // 2)
         else:
-            y, _ = ops.conv2d(x, self.weights, self.bias, stride=self.stride, pad=self.pad)
+            y = pointwise_conv(x, self.weights, self.bias)
         return y if self.act is None else activation(y, self.act, out=y)
 
 
@@ -564,6 +565,28 @@ def gi_block_params(c: int, reduce: int, groups: int, k: int) -> int:
     return generator + 2 * c
 
 
+def layer_shapes(model: Model, input_size: int):
+    """Each leaf layer of `model`, live or frozen, with the (channels, h, w)
+    of one sample's input to it: the one walk over the model's shapes."""
+    shape = (3, input_size, input_size)
+    for _, leaf in model.named_leaves():
+        yield leaf, shape
+        c, h, w = shape
+        if isinstance(leaf, (Conv, Pointwise, FoldedConv)):
+            k, stride = leaf.k, leaf.stride
+            shape = (leaf.c_out, (h + 2 * (k // 2) - k) // stride + 1,
+                     (w + 2 * (k // 2) - k) // stride + 1)
+        elif isinstance(leaf, GlobalPool):
+            shape = (c, 1, 1)
+
+
+def sample_activation_bytes(model: Model, input_size: int, itemsize: int = 8) -> int:
+    """Bytes of the largest activation of one sample, the input included, at
+    `itemsize` bytes a value: 128 KiB for the desk model (width 0.25, 64x64)
+    and 8 MiB for the full-width model at 256x256, both in float64."""
+    return itemsize * max(c * h * w for _, (c, h, w) in layer_shapes(model, input_size))
+
+
 def model_flops_breakdown(model: Model, input_size: int):
     """(resolution-scaling FLOPs, resolution-independent FLOPs).
 
@@ -572,28 +595,20 @@ def model_flops_breakdown(model: Model, input_size: int):
     """
     scaling = 0
     constant = 0
-    h = w = input_size
-    c = 3
-    for name, leaf in model.named_leaves():
+    for leaf, shape in layer_shapes(model, input_size):
         if isinstance(leaf, Conv):
             kind = "depthwise" if leaf.groups == leaf.c_in else "conv"
             spec = {"kind": kind, "c_out": leaf.c_out, "k": leaf.k,
                     "stride": leaf.stride, "groups": leaf.groups}
-            scaling += ops.layer_flops(spec, (c, h, w))
-            h = (h + 2 * (leaf.k // 2) - leaf.k) // leaf.stride + 1
-            w = (w + 2 * (leaf.k // 2) - leaf.k) // leaf.stride + 1
-            c = leaf.c_out
+            scaling += ops.layer_flops(spec, shape)
         elif isinstance(leaf, Pointwise):
-            scaling += ops.layer_flops({"kind": "pointwise", "c_out": leaf.c_out}, (c, h, w))
-            c = leaf.c_out
+            scaling += ops.layer_flops({"kind": "pointwise", "c_out": leaf.c_out}, shape)
         elif isinstance(leaf, SqueezeExcite):
             constant += ops.layer_flops({"kind": "linear", "in": leaf.c, "out": leaf.mid}, None)
             constant += ops.layer_flops({"kind": "linear", "in": leaf.mid, "out": leaf.c}, None)
         elif isinstance(leaf, GroupInvolution):
             spec = {"kind": "gi", "k": leaf.k, "groups": leaf.groups, "reduce": leaf.reduce}
-            scaling += ops.layer_flops(spec, (c, h, w))
-        elif isinstance(leaf, GlobalPool):
-            h = w = 1
+            scaling += ops.layer_flops(spec, shape)
         elif isinstance(leaf, Linear):
             constant += ops.layer_flops({"kind": "linear", "in": leaf.c_in, "out": leaf.c_out},
                                         None)
@@ -702,7 +717,10 @@ def load_checkpoint(path) -> Model:
         if dims != shape or offset < 0:
             raise DataError(f"{path}: manifest entry {name!r} has dims {dims} at offset "
                             f"{offset}, model expects {shape} at an offset of 0 or more")
-        loaded = tensor4_from_bytes(blobs[offset:])
+        try:
+            loaded = tensor4_from_bytes(blobs[offset:])
+        except DataError as exc:
+            raise DataError(f"{path}: manifest entry {name!r} at offset {offset}: {exc}") from exc
         if loaded.shape != shape:
             raise DataError(f"{path}: entry {name!r} holds a container of dims {loaded.shape}, "
                             f"model expects {shape}")

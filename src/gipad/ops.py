@@ -111,6 +111,19 @@ def _live_taps(padded_hw, k, stride, pad, out_hw):
     return tuple((u, v, (Ellipsis, su, sv)) for u, su in axes[0] for v, sv in axes[1])
 
 
+def _row_tiled(wt, w_out):
+    """Per-channel kernels (wt with one output column) tiled over an output
+    row, stored (n, k, k, h, w_out, G), so that a tap's product with a
+    channels-last operand runs over whole output rows in numpy's inner loop,
+    not over G elements at a time; the values and so the results are the same.
+    A field (GI) wider than one column is returned as it is."""
+    if wt.shape[5] != 1:
+        return wt
+    wm = np.ascontiguousarray(np.broadcast_to(
+        wt.transpose(0, 2, 3, 4, 5, 1), (*wt.shape[:1], *wt.shape[2:5], w_out, wt.shape[1])))
+    return wm.transpose(0, 5, 1, 2, 3, 4)
+
+
 def _tap_forward(x, wt, stride, pad, out_hw, bias=None):
     """y[n,g,s,i,j] = sum_{u,v} wt[n,g,u,v,i,j] * xg[n,g,s,stride*i+u,stride*j+v]
     over the zero-padded x viewed as xg (n, G, S, h, w), tap by tap through one
@@ -130,15 +143,8 @@ def _tap_forward(x, wt, stride, pad, out_hw, bias=None):
     wt = np.ascontiguousarray(wt.transpose(2, 3, 0, 4, 5, 1)).transpose(2, 5, 0, 1, 3, 4)
     # stored (n, h_out, w_out, S, G), the memory order of xg
     ys = np.zeros((n, h_out, w_out, c // g, g), np.result_type(xg, wt))
-    wm = wt
-    if wt.shape[5] == 1 and stride == 1:
-        # per-channel kernels tiled over an output row, stored (n, k, k, h,
-        # w_out, G): at stride 1 each tap's product then runs over whole
-        # output rows in numpy's inner loop, not over G elements at a time;
-        # the values and so the results are the same
-        wm = np.ascontiguousarray(np.broadcast_to(
-            wt.transpose(0, 2, 3, 4, 5, 1), (*wt.shape[:1], *wt.shape[2:5], w_out, g)))
-        wm = wm.transpose(0, 5, 1, 2, 3, 4)
+    # at stride 1 each tap reads whole rows of xg, so tiled kernels pay
+    wm = _row_tiled(wt, w_out) if stride == 1 else wt
     start = None if bias is None else bias.reshape(g, c // g).T
     row_bytes = ys[0, 0].nbytes
     if h_out * row_bytes <= BLOCK_BYTES:  # whole samples
@@ -184,13 +190,15 @@ def _tap_adjoint(grad_y, xg, wt, stride, pad):
     for u, v, win in taps:
         tap = grad_wt[:, :, u, v]
         tap[...] = np.einsum(spec, gy, xg[win]).reshape(tap.shape)
-    # grad_x is scattered in blocks of whole samples
+    # grad_x is scattered in blocks of whole samples; gy is channels-last at
+    # any stride, so tiled kernels pay here at every stride
+    wm = _row_tiled(wt, gy.shape[4])
     samples = max(1, BLOCK_BYTES // gy[0].nbytes)
     buf = np.empty_like(gy[:samples])
     for i in range(0, n, samples):
         ns = slice(i, i + samples)
         gb, gxb, bb = gy[ns], grad_xg[ns], buf[:len(gy[ns])]
-        wb = wt[ns] if wt.shape[0] > 1 else wt
+        wb = wm[ns] if wm.shape[0] > 1 else wm
         for u, v, win in taps:
             np.multiply(wb[:, :, None, u, v], gb, out=bb)
             gxb[win] += bb

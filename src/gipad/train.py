@@ -17,12 +17,16 @@ import numpy as np
 from .config import TrainConfig
 from .data import load_frame_tensor, split_rows, write_csv
 from .errors import ConfigError, InternalError
-from .net import Model, save_checkpoint
+from .net import Model, sample_activation_bytes, save_checkpoint
 from .tensor import derived_rng
 
 PROB_CLAMP = 1e-7
 # Each training image is mirrored left-right with this probability per epoch.
 FLIP_PROB = 0.5
+# Bytes of the largest activation of one scoring batch (see score_batch_size):
+# 32 desk samples, or one full-width 256x256 sample, in float64. The value is
+# set by a sweep of 1 to 16 MiB on eval_audit (BENCH_14.json).
+SCORE_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -148,13 +152,22 @@ def load_split_tensors(root, rows, size: int, dtype=np.float64):
     return x, y
 
 
-def score_batches(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Live-class probabilities in infer mode."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+def score_batch_size(model: Model, dtype=np.float64) -> int:
+    """Samples per scoring forward: as many as keep the batch's largest
+    activation within SCORE_BYTES at `dtype`, and at least one."""
+    per_sample = sample_activation_bytes(model, model.cfg.input_size, np.dtype(dtype).itemsize)
+    return max(1, SCORE_BYTES // per_sample)
+
+
+def score_batches(model: Model, x: np.ndarray) -> np.ndarray:
+    """Live-class probabilities in infer mode, over batches of
+    score_batch_size(model, x.dtype) samples: 32 for the desk model in
+    float64, one for the full-width model at 256x256. The memory of each
+    forward then stays about the same whatever the size of x."""
+    batch = score_batch_size(model, x.dtype)
     out = []
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start:start + batch_size], train=False, record=False)
+    for start in range(0, x.shape[0], batch):
+        logits = model.forward(x[start:start + batch], train=False, record=False)
         out.append(live_probability(logits))
     return np.concatenate(out) if out else np.zeros(0)
 

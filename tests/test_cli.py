@@ -186,6 +186,82 @@ class TestEval:
         assert err.startswith("data error: ") and "big.ckpt" in err and "test split" in err
         assert sorted(os.listdir(outdir)) == ["config.resolved"]
 
+    # the workspace model (width 0.25, 32x32) has at most 32 KiB of
+    # activation per sample, its block1 expansion: 16 channels at 16x16
+    SAMPLE_BYTES = 32 * 1024
+
+    def test_streamed_scores_match_one_batch(self, workspace, tmp_path, monkeypatch, capsys):
+        from gipad import cli, train
+
+        args = ["eval", "--manifest", str(workspace["dataset"] / "manifest.csv"),
+                "--checkpoint", str(workspace["rundir"] / "model.ckpt")]
+        assert cli.main([*args, "--outdir", str(tmp_path / "one")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "eval: scored 8 test frames in batches of 128",
+            "eval: scored 8 dev frames in batches of 128"]
+        monkeypatch.setattr(train, "SCORE_BYTES", 3 * self.SAMPLE_BYTES)
+        assert cli.main([*args, "--outdir", str(tmp_path / "three")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "eval: scored 8 test frames in batches of 3",
+            "eval: scored 8 dev frames in batches of 3"]
+        one = metrics.read_scores_csv(tmp_path / "one" / "scores.csv")
+        three = metrics.read_scores_csv(tmp_path / "three" / "scores.csv")
+        np.testing.assert_allclose(three[0], one[0], rtol=1e-12, atol=0)
+        assert list(three[1]) == list(one[1]) and list(three[2]) == list(one[2])
+
+    def test_memory_does_not_grow_with_the_split(self, workspace, tmp_path, monkeypatch,
+                                                 capsys):
+        """eval holds one batch of frames and activations at a time: from the
+        first frame read on, four batches' worth of frames peak no higher
+        than one batch, within a margin of a tenth of one batch's frames."""
+        import tracemalloc
+
+        from gipad import cli, data, train
+
+        batch = 4
+        monkeypatch.setattr(train, "SCORE_BYTES", batch * self.SAMPLE_BYTES)
+        dataset = workspace["dataset"]
+        rows = data.load_manifest(dataset / "manifest.csv")
+        # every dev and test frame as a test frame, the classes alternating
+        rows = [r for r in rows if r.split != "train"]
+        rows = [r for pair in zip(*(sorted((r for r in rows if r.label == label),
+                                          key=lambda r: r.path)
+                                   for label in ("bonafide", "attack"))) for r in pair]
+        assert len(rows) == 4 * batch
+
+        load, first_read = train.load_split_tensors, [True]
+
+        def load_after_reset(*args, **kwargs):
+            if first_read[0]:  # the peak from here on is the scoring's, not the checkpoint's
+                tracemalloc.reset_peak()
+                first_read[0] = False
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(train, "load_split_tensors", load_after_reset)
+
+        def peak(n):
+            first_read[0] = True
+            manifest = tmp_path / f"m{n}.csv"
+            manifest.write_text("path,label,split,subject\n" + "".join(
+                f"{dataset / r.path},{r.label},test,{r.subject}\n" for r in rows[:n]),
+                encoding="utf-8")
+            tracemalloc.start()
+            try:
+                code = cli.main(["eval", "--manifest", str(manifest),
+                                 "--checkpoint", str(workspace["rundir"] / "model.ckpt"),
+                                 "--threshold", "fixed", "--outdir", str(tmp_path / "ev")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak(batch)  # caches and lazy imports, which stay allocated
+        one, four = peak(batch), peak(4 * batch)
+        frames = batch * 3 * 32 * 32 * 8
+        assert four <= one + frames // 10, (one, four)
+        capsys.readouterr()
+
     def test_missing_dev_split_rejected(self, workspace, tmp_path):
         dataset, rundir = workspace["dataset"], workspace["rundir"]
         stripped = tmp_path / "nodev.csv"
@@ -415,8 +491,9 @@ BAD_INPUTS = {
                      None, 2),
     "max_epochs_0": (["train", "--manifest", "{manifest}", *TRAIN_FLAGS, "--max-epochs", "0"],
                      None, 2),
-    "eval_batch_0": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
-                      "--eval-batch", "0"], None, 2),
+    # the scoring batch is worked out from the model; the flag that set it is gone
+    "eval_batch_flag_removed": (["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+                                 "--eval-batch", "64"], None, 2),
     "missing_checkpoint": (["eval", "--manifest", "{manifest}",
                             "--checkpoint", "{tmp}/missing.ckpt"], None, 3),
     # checkpoints edited as (block, pattern, replacement) under a valid checksum
@@ -430,6 +507,8 @@ BAD_INPUTS = {
                                                    b"stem.kernel,0,3,8,3,3"), 3),
     "checkpoint_offset_negative": (BAD_CKPT_ARGS,
                                    (1, rb"[^\n]+(?=\n\Z)", offset_from_the_end), 3),
+    "checkpoint_offset_past_the_end": (BAD_CKPT_ARGS, (1, rb"stem\.kernel,0,",
+                                                       b"stem.kernel,99999999,"), 3),
     "checkpoint_placement_unknown": (BAD_CKPT_ARGS,
                                      (0, rb"placement = \S+", b"placement = sideways"), 3),
     "checkpoint_groups_indivisible": (BAD_CKPT_ARGS, (0, rb"groups = \S+", b"groups = 7"), 3),
@@ -481,6 +560,10 @@ BAD_INPUTS = {
 }
 
 
+# what the error message of a case must name besides "error:"
+NAMED_IN_ERROR = {"checkpoint_offset_past_the_end": ("bad.ckpt", "'stem.kernel'")}
+
+
 def edit_checkpoint(raw, block, pattern, replacement):
     """Checkpoint bytes with the first match of `pattern` in its config (block
     0) or manifest (block 1) text replaced, and the checksum recomputed."""
@@ -515,8 +598,14 @@ def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
     argv = [a.format(**subs) for a in argv]
     if "--outdir" not in argv:
         argv += ["--outdir", str(tmp_path / "out")]
-    assert cli.main(argv) == code
-    assert "error:" in capsys.readouterr().err
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    for part in ("error:", *NAMED_IN_ERROR.get(case, ())):
+        assert part in err
 
 
 class TestOneClassAudit:

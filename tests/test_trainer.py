@@ -178,3 +178,30 @@ class TestTrainLoop:
         assert len(lines) == 3
         rows = data.read_csv(path, "history", lines[0].split(","))
         assert [[float(v) for v in f] for _, f in rows] == [list(r) for r in history.rows()]
+
+
+class TestScoreBatchSize:
+    """The scoring batch comes from the model's largest activation per sample."""
+
+    def desk_model(self):
+        cfg = net.ModelConfig(width_multiplier=0.25, input_size=64)
+        return net.build_model(cfg, tensor.make_rng(0))
+
+    def test_desk_model(self):
+        # block1's expansion, 16 channels at 32x32 in float64
+        model = self.desk_model()
+        assert net.sample_activation_bytes(model, 64) == 128 * 1024
+        assert train.score_batch_size(model) == train.SCORE_BYTES // (128 * 1024)
+        assert train.score_batch_size(net.freeze(model)) == train.score_batch_size(model)
+
+    def test_full_width_model_at_256(self):
+        # block1's expansion, 64 channels at 128x128 in float64
+        model = net.build_model(net.ModelConfig(), tensor.make_rng(0))
+        assert net.sample_activation_bytes(model, 256) == 8 * 1024 * 1024
+        assert train.score_batch_size(model) == 1
+        assert train.score_batch_size(net.freeze(model)) == 1
+
+    def test_single_precision_takes_twice_the_samples(self):
+        model = self.desk_model()
+        assert train.score_batch_size(model, np.float32) == \
+            2 * train.score_batch_size(model, np.float64)
