@@ -6,7 +6,10 @@ Layers are thin wrappers over the functional ops in `tensor` and `ops`: each
 holds its parameters in a `params` dict, non-learnable state (batch-norm
 running statistics) in `state`, and the context of its last recorded forward
 pass. Each batch norm applies the activation that follows it, MobileNetV3's
-conv -> BN -> activation step. Backward passes are hand-derived and run in
+conv -> BN -> activation step, and keeps only its normalized input, from
+which its backward rebuilds the pre-activation. A `Sequence` runs named
+layers in order, with an optional residual: each inverted-residual `Block`
+is one, and so is the `Model`. Backward passes are hand-derived and run in
 reverse layer order; each writes its parameter gradients into the parallel
 `grads` dict, so a model is trained without any autograd machinery.
 
@@ -38,7 +41,7 @@ from .tensor import (
     pointwise_conv,
     pointwise_conv_backward,
     tensor4_from_bytes,
-    tensor4_to_bytes,
+    tensor4_parts,
 )
 
 # MobileNetV3-Large stage table: kernel, expansion width, output width,
@@ -96,9 +99,6 @@ class Layer:
         self.state: dict[str, np.ndarray] = {}
         self._ctx = None
 
-    def zero_grads(self):
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def forward(self, x, train=False, record=None):
         raise NotImplementedError
 
@@ -155,8 +155,9 @@ class Pointwise(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-channel batch norm, then the activation `act` on its fresh output
-    (none when act is None): the conv -> BN -> activation step of MobileNetV3."""
+    """Per-channel batch norm, then the activation `act` in place on its fresh
+    output (none when act is None): the conv -> BN -> activation step of
+    MobileNetV3. A recorded forward keeps only batch_norm_forward's context."""
 
     def __init__(self, c, act=None):
         super().__init__()
@@ -167,26 +168,24 @@ class BatchNorm(Layer):
         self.state["running_var"] = np.ones(c)
 
     def forward(self, x, train=False, record=None):
-        record = train if record is None else record
-        y, ctx, new_mean, new_var = batch_norm_forward(
+        y, self._ctx, new_mean, new_var = batch_norm_forward(
             x, self.params["gamma"], self.params["beta"],
             self.state["running_mean"], self.state["running_var"], train, record=record)
         if train:
             self.state["running_mean"] = new_mean
             self.state["running_var"] = new_var
-        if self.act is not None and record:  # the backward needs the pre-activation
-            ctx, y = (ctx, y), activation(y, self.act)
-        elif self.act is not None:
-            activation(y, self.act, out=y)
-        self._ctx = ctx
-        return y
+        return y if self.act is None else activation(y, self.act, out=y)
 
     def backward(self, grad_y):
-        ctx = self._ctx
         if self.act is not None:
-            ctx, pre = ctx
+            # the pre-activation, rebuilt from xhat with the train-mode
+            # forward's own arithmetic, so bit for bit
+            _, xhat, _, gamma = self._ctx
+            pre = xhat * gamma[None, :, None, None]
+            pre += self.params["beta"][None, :, None, None]
             grad_y = grad_y * activation_grad(pre, self.act)
-        grad_x, self.grads["gamma"], self.grads["beta"] = batch_norm_backward(grad_y, ctx)
+            del pre  # not held through the batch-norm adjoint
+        grad_x, self.grads["gamma"], self.grads["beta"] = batch_norm_backward(grad_y, self._ctx)
         return grad_x
 
 
@@ -320,11 +319,44 @@ class Linear(Layer):
         return grad_x
 
 
-class Block:
+class Sequence:
+    """Named layers run in order, with the input optionally added to the
+    output (a residual); layers may themselves be Sequences."""
+
+    def __init__(self, layers, residual=False):
+        self.layers = list(layers)
+        self.residual = residual
+
+    def named_leaves(self, prefix=""):
+        for name, layer in self.layers:
+            if isinstance(layer, Sequence):
+                yield from layer.named_leaves(f"{prefix}{name}.")
+            else:
+                yield prefix + name, layer
+
+    def forward(self, x, train=False, record=None, until=None):
+        y = x
+        for _, layer in self.layers:
+            if layer is until:
+                break
+            y = layer.forward(y, train=train, record=record)
+        if self.residual:
+            # in place: the last layer (a batch norm, or the frozen model's
+            # folded conv) returns a fresh array
+            y += x
+        return y
+
+    def backward(self, grad_y):
+        g = grad_y
+        for _, layer in reversed(self.layers):
+            g = layer.backward(g)
+        return g + grad_y if self.residual else g
+
+
+class Block(Sequence):
     """Inverted residual: expand 1x1 -> depthwise -> (SE) -> project 1x1."""
 
     def __init__(self, c_in, c_exp, c_out, k, stride, use_se, act, rng):
-        self.residual = stride == 1 and c_in == c_out
         seq = []
         if c_exp != c_in:
             seq += [("expand", Pointwise(c_in, c_exp, rng=rng)),
@@ -335,74 +367,39 @@ class Block:
             seq += [("se", SqueezeExcite(c_exp, rng=rng))]
         seq += [("project", Pointwise(c_exp, c_out, rng=rng)),
                 ("project_bn", BatchNorm(c_out))]
-        self.seq = seq
-
-    def sublayers(self):
-        return self.seq
-
-    def forward(self, x, train=False, record=None):
-        y = x
-        for _, layer in self.seq:
-            y = layer.forward(y, train=train, record=record)
-        if self.residual:
-            # in place: the last layer (project_bn, or the frozen model's
-            # folded project conv) returns a fresh array
-            y += x
-        return y
-
-    def backward(self, grad_y):
-        g = grad_y
-        for _, layer in reversed(self.seq):
-            g = layer.backward(g)
-        return g + grad_y if self.residual else g
+        super().__init__(seq, residual=stride == 1 and c_in == c_out)
 
 
 # ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
 
-class Model:
-    """Ordered layer list ending in global pooling and a linear head."""
+class Model(Sequence):
+    """The backbone's layer sequence, ending in global pooling and a linear head."""
 
     def __init__(self, cfg: ModelConfig | None, layers):
+        super().__init__(layers)
         self.cfg = cfg
-        self.layers = list(layers)
         self.seed = 0  # the initialisation seed, which checkpoints carry
-        self.begin_gi = None
-        self.end_gi = None
-        for name, layer in self.layers:
-            if isinstance(layer, GroupInvolution):
-                if name.startswith("gi_begin"):
-                    self.begin_gi = layer
-                else:
-                    self.end_gi = layer
 
-    def named_leaves(self):
-        for name, layer in self.layers:
-            if isinstance(layer, Block):
-                for sub, leaf in layer.sublayers():
-                    yield f"{name}.{sub}", leaf
-            else:
-                yield name, layer
+    @property
+    def end_gi(self):
+        """The GroupInvolution before pooling, or None."""
+        return dict(self.layers).get("gi_end")
+
+    def _named_arrays(self, kind):
+        for name, leaf in self.named_leaves():
+            for key, arr in getattr(leaf, kind).items():
+                yield f"{name}.{key}", arr
 
     def parameters(self):
-        for name, leaf in self.named_leaves():
-            for key, arr in leaf.params.items():
-                yield f"{name}.{key}", arr
+        return self._named_arrays("params")
 
     def named_state(self):
-        for name, leaf in self.named_leaves():
-            for key, arr in leaf.state.items():
-                yield f"{name}.{key}", arr
-
-    def zero_grads(self):
-        for _, leaf in self.named_leaves():
-            leaf.zero_grads()
+        return self._named_arrays("state")
 
     def gradients(self):
-        for name, leaf in self.named_leaves():
-            for key, arr in leaf.grads.items():
-                yield f"{name}.{key}", arr
+        return self._named_arrays("grads")
 
     def astype(self, dtype):
         """Cast every parameter, gradient, and running statistic in place;
@@ -423,18 +420,7 @@ class Model:
             raise ConfigError(
                 f"model built for {self.cfg.input_size}x{self.cfg.input_size} input, "
                 f"got {x.shape[2]}x{x.shape[3]}")
-        y = x
-        for _, layer in self.layers:
-            if layer is until:
-                break
-            y = layer.forward(y, train=train, record=record)
-        return y
-
-    def backward(self, grad_logits):
-        g = grad_logits
-        for _, layer in reversed(self.layers):
-            g = layer.backward(g)
-        return g
+        return super().forward(x, train, record, until)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +475,9 @@ def _frozen_steps(seq):
         prev = steps[-1][1] if steps else None
         if isinstance(layer, BatchNorm) and isinstance(prev, (Conv, Pointwise)):
             steps[-1] = (steps[-1][0], FoldedConv(prev, layer))
-        elif isinstance(layer, Block):
+        elif isinstance(layer, Sequence):
             steps.append((name, copy.copy(layer)))
-            steps[-1][1].seq = _frozen_steps(layer.seq)
+            steps[-1][1].layers = _frozen_steps(layer.layers)
         else:
             steps.append((name, copy.deepcopy(layer)))
     return steps
@@ -500,12 +486,12 @@ def _frozen_steps(seq):
 def freeze(model: Model) -> FrozenModel:
     """An inference-only copy of `model`, built once per command: each Conv
     or Pointwise takes the infer-mode BatchNorm after it (FoldedConv), each
-    Block is a copy whose own layers are frozen the same way, and every other
-    layer, the GroupInvolution and its BatchNorm among them, is deep-copied
-    and runs in infer mode. The live model is not changed. Activations stay
-    channels-last between layers. Logits agree with the live infer-mode
-    forward within 1e-12 relative (5e-15 measured on the desk model, 2e-14
-    on the full-width model at 256x256)."""
+    nested Sequence (a Block) is a copy whose own layers are frozen the same
+    way, and every other layer, the GroupInvolution and its BatchNorm among
+    them, is deep-copied and runs in infer mode. The live model is not
+    changed. Activations stay channels-last between layers. Logits agree
+    with the live infer-mode forward within 1e-12 relative (5e-15 measured
+    on the desk model, 2e-14 on the full-width model at 256x256)."""
     return FrozenModel(model.cfg, _frozen_steps(model.layers))
 
 
@@ -661,28 +647,27 @@ def _pad4(shape):
 
 
 def save_checkpoint(path, model: Model) -> None:
-    entries = list(model.parameters()) + list(model.named_state())
-    blobs = []
-    manifest_lines = []
-    offset = 0
-    for name, arr in entries:
-        blob = tensor4_to_bytes(np.ascontiguousarray(arr, dtype=np.float64).reshape(_pad4(arr.shape)))
-        dims = ",".join(str(d) for d in _pad4(arr.shape))
-        manifest_lines.append(f"{name},{offset},{dims}")
-        blobs.append(blob)
-        offset += len(blob)
+    """Write `model` as a checkpoint, each array from its own memory. Every
+    array is checked first, so that a rejected one leaves no file."""
+    parts, manifest_lines, offset = [], [], 0
+    for name, arr in (*model.parameters(), *model.named_state()):
+        header, body = tensor4_parts(arr.reshape(_pad4(arr.shape)))
+        manifest_lines.append(f"{name},{offset}," + ",".join(str(d) for d in body.shape))
+        parts += [header, body]
+        offset += len(header) + body.nbytes
     config_block = config.dump({**asdict(model.cfg), "seed": model.seed}).encode("utf-8")
     manifest_block = ("\n".join(manifest_lines) + "\n").encode("utf-8")
-    body = (CHECKPOINT_MAGIC
-            + struct.pack("<I", len(config_block)) + config_block
-            + struct.pack("<I", len(manifest_block)) + manifest_block
-            + b"".join(blobs))
+    parts.insert(0, CHECKPOINT_MAGIC
+                 + struct.pack("<I", len(config_block)) + config_block
+                 + struct.pack("<I", len(manifest_block)) + manifest_block)
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<Q", checksum64(body)))
+        for part in parts:
+            fh.write(part)
+        fh.write(struct.pack("<Q", checksum64(*parts)))
 
 
 def load_checkpoint(path) -> Model:
-    raw = read_input(path, "checkpoint")
+    raw = memoryview(read_input(path, "checkpoint"))
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     body, trailer = raw[:-8], raw[-8:]
@@ -692,14 +677,14 @@ def load_checkpoint(path) -> Model:
         pos = 4
         (clen,) = struct.unpack_from("<I", body, pos)
         pos += 4
-        values = config.parse(body[pos:pos + clen].decode("utf-8"), path)
+        values = config.parse(str(body[pos:pos + clen], "utf-8"), path)
         cfg = config.build(ModelConfig, values)
         seed = int(values.get("seed", "0"))
         pos += clen
         (mlen,) = struct.unpack_from("<I", body, pos)
         pos += 4
         manifest = [(parts[0], int(parts[1]), tuple(int(d) for d in parts[2:])) for parts in
-                    (line.split(",") for line in body[pos:pos + mlen].decode("utf-8").splitlines())]
+                    (line.split(",") for line in str(body[pos:pos + mlen], "utf-8").splitlines())]
         pos += mlen
         model = build_model(cfg, make_rng(seed))
     except (ConfigError, ValueError, IndexError, struct.error) as exc:
@@ -707,7 +692,7 @@ def load_checkpoint(path) -> Model:
     model.seed = seed
     arrays = dict(model.parameters())
     arrays.update(dict(model.named_state()))
-    blobs = memoryview(body)[pos:]
+    blobs = body[pos:]
     seen = set()
     for name, offset, dims in manifest:
         if name not in arrays:

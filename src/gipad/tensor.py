@@ -23,7 +23,7 @@ T4_MAGIC = b"T4D1"
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-ACTIVATIONS = ("relu", "hardswish", "hardsigmoid", "sigmoid")
+ACTIVATIONS = ("relu", "hardswish", "hardsigmoid")
 # Elements per block of hardswish: 256 KiB of float64, so that its gate
 # buffer stays in cache (a sweep of 8K to 128K elements ran fastest here)
 ACT_BLOCK = 32 * 1024
@@ -136,11 +136,6 @@ def activation(x: np.ndarray, kind: str, out=None) -> np.ndarray:
             for xb, yb in it:
                 np.multiply(xb, _hardsigmoid(xb, gate[:xb.size]), out=yb)
         return out
-    if kind == "sigmoid":
-        y = np.negative(x, out=out)
-        np.exp(y, out=y)
-        y += 1.0
-        return np.divide(1.0, y, out=y)
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 
@@ -153,9 +148,6 @@ def activation_grad(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "hardswish":
         inner = ((x > -3.0) & (x < 3.0)).astype(x.dtype)
         return _hardsigmoid(x) + x * inner / 6.0
-    if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-x))
-        return s * (1.0 - s)
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 
@@ -231,12 +223,17 @@ def batch_norm_backward(grad_y, ctx):
 # by float64 LE entries in row-major (n, c, h, w) order.
 # ---------------------------------------------------------------------------
 
+def tensor4_parts(arr: np.ndarray):
+    """(header, body) of the binary container of a rank-4 array; the body is
+    the array's own memory when that is already C-ordered float64."""
+    body = np.ascontiguousarray(tensor4(arr), dtype="<f8")
+    return T4_MAGIC + struct.pack("<4I", *body.shape), body
+
+
 def tensor4_to_bytes(arr: np.ndarray) -> bytes:
     """Serialize a rank-4 array into the flat binary container."""
-    arr = tensor4(arr)
-    header = T4_MAGIC + struct.pack("<4I", *arr.shape)
-    body = arr.astype("<f8").tobytes(order="C")
-    return header + body
+    header, body = tensor4_parts(arr)
+    return header + body.tobytes()
 
 
 def tensor4_from_bytes(blob: bytes) -> np.ndarray:
@@ -264,7 +261,10 @@ def read_tensor4(path) -> np.ndarray:
     return tensor4_from_bytes(read_input(path, "tensor container"))
 
 
-def checksum64(data: bytes) -> int:
-    """64-bit content checksum (BLAKE2b-8), used as the checkpoint trailer."""
-    digest = hashlib.blake2b(data, digest_size=8).digest()
-    return struct.unpack("<Q", digest)[0]
+def checksum64(*chunks) -> int:
+    """64-bit content checksum (BLAKE2b-8) of the chunks' bytes in turn, used
+    as the checkpoint trailer."""
+    digest = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        digest.update(chunk)
+    return struct.unpack("<Q", digest.digest())[0]

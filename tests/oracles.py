@@ -267,9 +267,9 @@ def reference_forward(model, x):
 
     y = x
     for _, layer in model.layers:
-        if isinstance(layer, net.Block):
+        if isinstance(layer, net.Sequence):
             y_in = y
-            for _, leaf in layer.sublayers():
+            for _, leaf in layer.layers:
                 y = _leaf_ref(leaf, y)
             if layer.residual:
                 y = y + y_in

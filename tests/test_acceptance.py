@@ -186,7 +186,6 @@ def test_c03_gradient_checks():
         def se_loss():
             return float((se.forward(x, train=True, record=False) * sprobe).sum())
 
-        se.zero_grads()
         sgx = se.backward(sprobe)
         worst_layer = max(worst_layer, max_rel_err(sgx, fd_grad(se_loss, x)))
         for key in se.params:
@@ -212,7 +211,6 @@ def test_c03_gradient_checks():
 
         logits = model.forward(x, train=False, record=True)
         _, gl = train.loss_and_logit_grad(logits, y, 0.05)
-        model.zero_grads()
         model.backward(gl)
         grads = dict(model.gradients())
         pick = np.random.default_rng(350 + seed)

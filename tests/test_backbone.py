@@ -1,6 +1,8 @@
 """Backbone construction, parameter/FLOP accounting, forward contracts,
 checkpoints, and Grad-CAM."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,12 @@ class TestBuild:
     def test_placement_none_has_no_gi(self):
         model = net.build_model(net.ModelConfig(placement="none", width_multiplier=0.25,
                                                 input_size=32), tensor.make_rng(0))
-        assert model.end_gi is None and model.begin_gi is None
+        assert model.end_gi is None and "gi_begin" not in dict(model.layers)
 
     def test_placement_both(self):
         model = net.build_model(tiny_cfg(placement="both"), tensor.make_rng(0))
-        assert model.end_gi is not None and model.begin_gi is not None
+        assert model.end_gi is not None
+        assert isinstance(dict(model.layers)["gi_begin"], net.GroupInvolution)
 
     def test_bad_placement_rejected(self):
         with pytest.raises(ConfigError):
@@ -304,6 +307,141 @@ class TestFrozen:
             assert layer.forward(x).flags.c_contiguous
 
 
+# The desk model's (width 0.25, 64x64) arrays in checkpoint order, leaf by
+# leaf: parameters, then running statistics after "|". Checkpoints written
+# by earlier versions load only while these names and shapes stay the same.
+DESK_ARRAYS = """
+stem kernel=8x3x3x3
+stem_bn gamma=8 beta=8 | running_mean=8 running_var=8
+block0.depth kernel=8x1x3x3
+block0.depth_bn gamma=8 beta=8 | running_mean=8 running_var=8
+block0.project w=8x8
+block0.project_bn gamma=8 beta=8 | running_mean=8 running_var=8
+block1.expand w=16x8
+block1.expand_bn gamma=16 beta=16 | running_mean=16 running_var=16
+block1.depth kernel=16x1x3x3
+block1.depth_bn gamma=16 beta=16 | running_mean=16 running_var=16
+block1.project w=8x16
+block1.project_bn gamma=8 beta=8 | running_mean=8 running_var=8
+block2.expand w=24x8
+block2.expand_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block2.depth kernel=24x1x3x3
+block2.depth_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block2.project w=8x24
+block2.project_bn gamma=8 beta=8 | running_mean=8 running_var=8
+block3.expand w=24x8
+block3.expand_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block3.depth kernel=24x1x5x5
+block3.depth_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block3.se w1=8x24 b1=8 w2=24x8 b2=24
+block3.project w=16x24
+block3.project_bn gamma=16 beta=16 | running_mean=16 running_var=16
+block4.expand w=32x16
+block4.expand_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block4.depth kernel=32x1x5x5
+block4.depth_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block4.se w1=8x32 b1=8 w2=32x8 b2=32
+block4.project w=16x32
+block4.project_bn gamma=16 beta=16 | running_mean=16 running_var=16
+block5.expand w=32x16
+block5.expand_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block5.depth kernel=32x1x5x5
+block5.depth_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block5.se w1=8x32 b1=8 w2=32x8 b2=32
+block5.project w=16x32
+block5.project_bn gamma=16 beta=16 | running_mean=16 running_var=16
+block6.expand w=64x16
+block6.expand_bn gamma=64 beta=64 | running_mean=64 running_var=64
+block6.depth kernel=64x1x3x3
+block6.depth_bn gamma=64 beta=64 | running_mean=64 running_var=64
+block6.project w=24x64
+block6.project_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block7.expand w=48x24
+block7.expand_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block7.depth kernel=48x1x3x3
+block7.depth_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block7.project w=24x48
+block7.project_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block8.expand w=48x24
+block8.expand_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block8.depth kernel=48x1x3x3
+block8.depth_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block8.project w=24x48
+block8.project_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block9.expand w=48x24
+block9.expand_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block9.depth kernel=48x1x3x3
+block9.depth_bn gamma=48 beta=48 | running_mean=48 running_var=48
+block9.project w=24x48
+block9.project_bn gamma=24 beta=24 | running_mean=24 running_var=24
+block10.expand w=120x24
+block10.expand_bn gamma=120 beta=120 | running_mean=120 running_var=120
+block10.depth kernel=120x1x3x3
+block10.depth_bn gamma=120 beta=120 | running_mean=120 running_var=120
+block10.se w1=32x120 b1=32 w2=120x32 b2=120
+block10.project w=32x120
+block10.project_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block11.expand w=168x32
+block11.expand_bn gamma=168 beta=168 | running_mean=168 running_var=168
+block11.depth kernel=168x1x3x3
+block11.depth_bn gamma=168 beta=168 | running_mean=168 running_var=168
+block11.se w1=40x168 b1=40 w2=168x40 b2=168
+block11.project w=32x168
+block11.project_bn gamma=32 beta=32 | running_mean=32 running_var=32
+block12.expand w=168x32
+block12.expand_bn gamma=168 beta=168 | running_mean=168 running_var=168
+block12.depth kernel=168x1x5x5
+block12.depth_bn gamma=168 beta=168 | running_mean=168 running_var=168
+block12.se w1=40x168 b1=40 w2=168x40 b2=168
+block12.project w=40x168
+block12.project_bn gamma=40 beta=40 | running_mean=40 running_var=40
+block13.expand w=240x40
+block13.expand_bn gamma=240 beta=240 | running_mean=240 running_var=240
+block13.depth kernel=240x1x5x5
+block13.depth_bn gamma=240 beta=240 | running_mean=240 running_var=240
+block13.se w1=64x240 b1=64 w2=240x64 b2=240
+block13.project w=40x240
+block13.project_bn gamma=40 beta=40 | running_mean=40 running_var=40
+block14.expand w=240x40
+block14.expand_bn gamma=240 beta=240 | running_mean=240 running_var=240
+block14.depth kernel=240x1x5x5
+block14.depth_bn gamma=240 beta=240 | running_mean=240 running_var=240
+block14.se w1=64x240 b1=64 w2=240x64 b2=240
+block14.project w=40x240
+block14.project_bn gamma=40 beta=40 | running_mean=40 running_var=40
+final w=240x40
+final_bn gamma=240 beta=240 | running_mean=240 running_var=240
+gi_end squeeze_w=60x240 squeeze_b=60 gamma=60 beta=60
+gi_end expand_w=3000x60 expand_b=3000 | running_mean=60 running_var=60
+gi_end_bn gamma=240 beta=240 | running_mean=240 running_var=240
+head w=2x240 b=2
+"""
+
+
+def desk_arrays():
+    want = {"params": [], "state": []}
+    for line in DESK_ARRAYS.strip().splitlines():
+        name, *tokens = line.split()
+        kind = "params"
+        for token in tokens:
+            if token == "|":
+                kind = "state"
+                continue
+            key, dims = token.split("=")
+            want[kind].append((f"{name}.{key}", tuple(int(d) for d in dims.split("x"))))
+    return want
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = net.build_model(tiny_cfg(), tensor.make_rng(9))
@@ -331,6 +469,39 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
             net.load_checkpoint(path)
+
+    def test_desk_array_names_and_shapes_are_stable(self):
+        model = net.build_model(net.ModelConfig(width_multiplier=0.25, input_size=64),
+                                tensor.make_rng(0))
+        want = desk_arrays()
+        assert [(name, arr.shape) for name, arr in model.parameters()] == want["params"]
+        assert [(name, arr.shape) for name, arr in model.named_state()] == want["state"]
+
+    def test_save_holds_no_copy_of_the_arrays(self, tmp_path):
+        # the arrays go to the file from their own memory: nothing near the
+        # file's size is allocated (three copies of it were before)
+        model = net.build_model(tiny_cfg(), tensor.make_rng(12))
+        path = tmp_path / "m.ckpt"
+        _, peak = traced_peak(net.save_checkpoint, path, model)
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_load_holds_the_file_bytes_once(self, tmp_path):
+        # the file's bytes and the built model, about twice the file, with
+        # no second copy of the bytes (three times the file before)
+        path = tmp_path / "m.ckpt"
+        net.save_checkpoint(path, net.build_model(tiny_cfg(), tensor.make_rng(13)))
+        model, peak = traced_peak(net.load_checkpoint, path)
+        assert peak < 2.5 * path.stat().st_size
+        assert net.param_count(model) > 0
+
+    def test_save_rejects_non_finite_before_opening_the_file(self, tmp_path):
+        model = net.build_model(tiny_cfg(), tensor.make_rng(14))
+        dict(model.named_state())["final_bn.running_var"][0] = np.inf
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match="non-finite"):
+            net.save_checkpoint(path, model)
+        assert not path.exists()
+
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,6 +1,8 @@
 """Hand-derived backward passes against central finite differences, plus
 the adjoint identities of the linear operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,7 +275,6 @@ class TestLayerBackward:
         def loss():
             return float((layer.forward(x, train=train, record=False) * probe).sum())
 
-        layer.zero_grads()
         gx = layer.backward(probe)
         check_grad(gx, loss, x, tol=tol)
         for key, grad in layer.grads.items():
@@ -323,11 +324,43 @@ class TestLayerBackward:
             return float((head.forward(pool.forward(x), record=False) * probe).sum())
 
         head.forward(pool.forward(x), record=True)
-        head.zero_grads()
         gx = pool.backward(head.backward(probe))
         check_grad(gx, loss, x)
         check_grad(head.grads["w"], loss, head.params["w"])
         check_grad(head.grads["b"], loss, head.params["b"])
+
+
+class TestBatchNormActivation:
+    """BatchNorm(c, act) keeps only xhat and rebuilds its pre-activation in
+    the backward, bit for bit the BatchNorm(c) then Act(act) pair."""
+
+    @pytest.mark.parametrize("act", ["relu", "hardswish"])
+    def test_train_mode_bits_match_the_separate_pair(self, act):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((4, 6, 5, 5)) * 2.0 + 0.3
+        probe = rng.standard_normal(x.shape)
+        fused, bn, sep = net.BatchNorm(6, act), net.BatchNorm(6), net.Act(act)
+        fused.params["gamma"] = rng.uniform(0.5, 1.5, 6)
+        fused.params["beta"] = rng.standard_normal(6)
+        bn.params = {k: v.copy() for k, v in fused.params.items()}
+        y = fused.forward(x, train=True, record=True)
+        np.testing.assert_array_equal(y, sep.forward(bn.forward(x, train=True, record=True),
+                                                     train=True, record=True))
+        np.testing.assert_array_equal(fused.backward(probe), bn.backward(sep.backward(probe)))
+        for key in ("gamma", "beta"):
+            np.testing.assert_array_equal(fused.grads[key], bn.grads[key], err_msg=key)
+
+    def test_recorded_forward_holds_xhat_and_output_only(self):
+        x = np.random.default_rng(14).standard_normal((8, 16, 32, 32))
+        layer = net.BatchNorm(16, "hardswish")
+        tracemalloc.start()
+        try:
+            y = layer.forward(x, train=True, record=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == x.shape
+        assert held < 2.5 * x.nbytes
 
 
 class TestLossGradients:
@@ -374,7 +407,7 @@ class TestLossGradients:
 class TestBackwardWritesGradients:
     def test_repeated_backward_gives_equal_gradients(self):
         # each backward writes its gradients: a second call on the same
-        # recorded forward, without zero_grads, leaves them unchanged
+        # recorded forward leaves them unchanged
         cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24,
                               placement="both")
         model = net.build_model(cfg, tensor.make_rng(24))
@@ -407,7 +440,6 @@ class TestEndToEnd:
 
         logits = model.forward(x, train=False, record=True)
         _, gl = train.loss_and_logit_grad(logits, y, 0.05)
-        model.zero_grads()
         model.backward(gl)
         grads = dict(model.gradients())
         params = dict(model.parameters())

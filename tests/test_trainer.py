@@ -114,7 +114,6 @@ class TestTrainLoop:
             state = train.adam_init(params)
             logits = model.forward(x, train=True)
             loss0, grad = train.loss_and_logit_grad(logits, y, 0.05)
-            model.zero_grads()
             model.backward(grad)
             train.adam_step(params, dict(model.gradients()), state, cfg)
             # compare in the same (batch-statistics) mode the step was taken in
