@@ -4,8 +4,9 @@ for PGM/PPM, `read_csv`/`write_csv` for manifests, scores, histories,
 histograms and the FLOP table.
 
 Frames arrive as individual binary PGM (P5) or PPM (P6) files. Preprocessing
-is: adaptive center crop to the smaller frame dimension, bilinear resize with
-half-pixel centers, then mapping to [-1, 1] with per-channel mean/std 0.5.
+is: center crop to the smaller frame dimension, one conversion of the crop to
+float64 in unit range, separable bilinear resize with half-pixel centers, then
+mapping to [-1, 1] with per-channel mean/std 0.5, in place.
 
 The synthetic generator replaces the licensed face datasets: both classes
 share a smooth low-frequency base with mild oriented gradients; attack
@@ -51,19 +52,17 @@ def center_crop(frame: np.ndarray) -> np.ndarray:
 def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
     """Bilinear resize to size x size using half-pixel sample centers.
 
-    Works on (h, w) or (h, w, c) float arrays; output values stay within the
-    input range because interpolation weights are convex. A size x size input
-    is returned as a float64 copy: every sample then falls on a pixel center.
+    Works on (h, w) or (h, w, c) arrays, in float64; output values stay within
+    the input range because interpolation weights are convex. A size x size
+    input is returned as a float64 copy: every sample then falls on a pixel
+    center.
     """
     if size < 1:
         raise ConfigError(f"target size must be >= 1, got {size}")
-    squeeze = image.ndim == 2
-    img = image.astype(np.float64)
-    if img.shape[:2] == (size, size):
-        return img
-    if squeeze:
-        img = img[:, :, None]
-    h, w = img.shape[:2]
+    if image.shape[:2] == (size, size):
+        return image.astype(np.float64)
+    h, w = image.shape[:2]
+    img = np.asarray(image, dtype=np.float64).reshape(h, w, -1)
     coords_y = (np.arange(size) + 0.5) * (h / size) - 0.5
     coords_x = (np.arange(size) + 0.5) * (w / size) - 0.5
     y0 = np.clip(np.floor(coords_y), 0, h - 1).astype(int)
@@ -71,29 +70,40 @@ def resize_bilinear(image: np.ndarray, size: int) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(coords_y - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(coords_x - x0, 0.0, 1.0)[None, :, None]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bot = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-    out = top * (1 - wy) + bot * wy
-    return out[:, :, 0] if squeeze else out
+    wx = np.clip(coords_x - x0, 0.0, 1.0)[:, None]
+    # separable: each source row that an output row reads is interpolated
+    # along x once, then each output row blends two of those rows
+    rows, pick = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = img if len(rows) == h else img[rows]
+    along_x = np.take(src, x0, axis=1)
+    along_x *= 1 - wx
+    along_x += np.take(src, x1, axis=1) * wx
+    out = np.take(along_x, pick[:size], axis=0)
+    out *= 1 - wy
+    out += np.take(along_x, pick[size:], axis=0) * wy
+    return out.reshape(size, size, *image.shape[2:])
 
 
-def _to_unit_range(image: np.ndarray) -> np.ndarray:
-    # integer dtype is 8-bit pixel data; floats above 1.5 are treated as
-    # 8-bit-range values (e.g. 127.5), anything else as already unit-range
+def _to_unit_range(image: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    # a new float64 copy of image (a frame or its crop), divided by 255 when
+    # the frame holds 8-bit data: an integer dtype, or floats above 1.5 (e.g.
+    # 127.5); other floats are taken as already unit-range
     arr = image.astype(np.float64)
-    if np.issubdtype(image.dtype, np.integer) or arr.max() > 1.5:
-        return arr / 255.0
+    if np.issubdtype(frame.dtype, np.integer) or frame.max() > 1.5:
+        arr /= 255.0
     return arr
+
+
+def _unit_to_slice(img: np.ndarray) -> np.ndarray:
+    # [0, 1] to [-1, 1] in place, then a (3, h, w) view, gray repeated
+    img -= CHANNEL_MEAN
+    img /= CHANNEL_STD
+    return (img[:, :, None].repeat(3, axis=2) if img.ndim == 2 else img).transpose(2, 0, 1)
 
 
 def normalize(image: np.ndarray) -> np.ndarray:
     """Map an 8-bit or unit-range (h, w, 3) image to a (3, h, w) slice in [-1, 1]."""
-    img = _to_unit_range(image)
-    img = (img - CHANNEL_MEAN) / CHANNEL_STD
-    if img.ndim == 2:
-        img = img[:, :, None].repeat(3, axis=2)
-    return img.transpose(2, 0, 1)
+    return _unit_to_slice(_to_unit_range(image, image))
 
 
 def denormalize(chw: np.ndarray) -> np.ndarray:
@@ -102,9 +112,10 @@ def denormalize(chw: np.ndarray) -> np.ndarray:
 
 
 def preprocess(frame: np.ndarray, size: int) -> np.ndarray:
-    """Crop, resize and normalize one frame into a (3, size, size) slice."""
-    resized = resize_bilinear(center_crop(_to_unit_range(frame)), size)
-    return normalize(resized)
+    """Crop, resize and normalize one frame into a (3, size, size) slice; the
+    crop is converted to float64 once, and scaled as the whole frame asks."""
+    img = _to_unit_range(center_crop(frame), frame)
+    return _unit_to_slice(img if img.shape[:2] == (size, size) else resize_bilinear(img, size))
 
 
 # ---------------------------------------------------------------------------

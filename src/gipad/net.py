@@ -121,9 +121,11 @@ class Conv(Layer):
         w = ops.ConvWeights(self.params["kernel"], self.groups)
         y, ctx = ops.conv2d(x, w, stride=self.stride, pad=self.k // 2)
         self._ctx = ctx if record else None
-        # the live model keeps a depthwise output in NCHW memory, the order its
-        # batch norm's sums and so its training results are fixed on
-        return np.ascontiguousarray(y) if self.groups == self.c_in == self.c_out else y
+        # a depthwise output goes to NCHW memory when training or recording,
+        # the order its batch norm's sums and so training results are fixed
+        # on; plain inference keeps it channels-last, for the next 1x1 conv
+        depthwise = self.groups == self.c_in == self.c_out
+        return np.ascontiguousarray(y) if (train or record) and depthwise else y
 
     def backward(self, grad_y):
         grad_x, self.grads["kernel"], _ = ops.conv2d_backward(grad_y, self._ctx)
@@ -279,7 +281,7 @@ class GroupInvolution(Layer):
         fld, gen_ctx = self.field(x, train, record)
         y, gi_ctx = ops.group_involution_forward(x, fld, self.gmap)
         self._ctx = (gen_ctx, gi_ctx) if record else None
-        return np.ascontiguousarray(y)  # NCHW memory, as for a depthwise Conv
+        return np.ascontiguousarray(y) if train or record else y  # as a depthwise Conv
 
     def backward(self, grad_y):
         gen_ctx, gi_ctx = self._ctx
@@ -420,6 +422,8 @@ class Model(Sequence):
             raise ConfigError(
                 f"model built for {self.cfg.input_size}x{self.cfg.input_size} input, "
                 f"got {x.shape[2]}x{x.shape[3]}")
+        for _, leaf in self.named_leaves():  # the last forward's contexts go first
+            leaf._ctx = None
         return super().forward(x, train, record, until)
 
 

@@ -128,15 +128,21 @@ def activation(x: np.ndarray, kind: str, out=None) -> np.ndarray:
     if kind == "hardsigmoid":
         return _hardsigmoid(x, out)
     if kind == "hardswish":
-        # blocks of x's memory, each gated through one cache-sized buffer
         out = np.empty_like(x) if out is None else out
-        gate = np.empty(min(x.size, ACT_BLOCK), x.dtype)
-        with np.nditer([x, out], ["external_loop", "buffered", "zerosize_ok"],
-                       [["readonly"], ["writeonly"]], order="K", buffersize=ACT_BLOCK) as it:
-            for xb, yb in it:
-                np.multiply(xb, _hardsigmoid(xb, gate[:xb.size]), out=yb)
+        for xb, yb, gate in _blocks(x, out):
+            np.multiply(xb, _hardsigmoid(xb, gate), out=yb)
         return out
     raise ConfigError(f"unknown activation kind {kind!r}")
+
+
+def _blocks(x, out):
+    # (x block, out block, gate buffer) over blocks of x's memory order, the
+    # gate one cache-sized buffer that every block reuses
+    gate = np.empty(min(x.size, ACT_BLOCK), x.dtype)
+    with np.nditer([x, out], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["writeonly"]], order="K", buffersize=ACT_BLOCK) as it:
+        for xb, yb in it:
+            yield xb, yb, gate[:xb.size]
 
 
 def activation_grad(x: np.ndarray, kind: str) -> np.ndarray:
@@ -146,8 +152,13 @@ def activation_grad(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "hardsigmoid":
         return ((x > -3.0) & (x < 3.0)).astype(x.dtype) / 6.0
     if kind == "hardswish":
-        inner = ((x > -3.0) & (x < 3.0)).astype(x.dtype)
-        return _hardsigmoid(x) + x * inner / 6.0
+        # hardsigmoid(x) + x*[-3 < x < 3]/6, block by block as in activation
+        out = np.empty_like(x)
+        for xb, yb, inner in _blocks(x, out):
+            np.multiply(xb, (xb > -3.0) & (xb < 3.0), out=inner)
+            inner /= 6.0
+            np.add(_hardsigmoid(xb, yb), inner, out=yb)
+        return out
     raise ConfigError(f"unknown activation kind {kind!r}")
 
 

@@ -192,6 +192,26 @@ class TestForward:
         np.testing.assert_allclose(model.forward(x), base, atol=1e-12)
 
 
+class TestContexts:
+    def test_forward_drops_the_last_forwards_contexts_first(self):
+        # so a training step's recorded arrays are not held beside the next
+        # step's, nor through dev scoring
+        model = net.build_model(tiny_cfg(placement="both"), tensor.make_rng(48))
+        x = np.random.default_rng(49).standard_normal((2, 3, 32, 32))
+        model.forward(x, train=True)
+        stem = model.layers[0][1]
+        held = []
+
+        def first_layer(*args, **kwargs):
+            held.extend(name for name, leaf in model.named_leaves() if leaf._ctx is not None)
+            return net.Conv.forward(stem, *args, **kwargs)
+
+        stem.forward = first_layer
+        for kwargs in ({"train": True}, {}):
+            model.forward(x, **kwargs)
+        assert held == []
+
+
 class TestForwardUntil:
     def test_stops_before_the_given_layer(self):
         model = net.build_model(tiny_cfg(), tensor.make_rng(30))
@@ -296,15 +316,21 @@ class TestFrozen:
         with pytest.raises(InternalError, match="no backward"):
             frozen.backward(np.zeros((1, 2)))
 
-    def test_tap_layers_of_the_live_model_keep_nchw_memory(self):
-        # the frozen model keeps the tap engine's channels-last output; the
-        # live layers copy it to NCHW, as training's batch norm expects
+    def test_tap_layers_copy_to_nchw_memory_when_training_or_recording(self):
+        # training's batch-norm sums are fixed on NCHW memory, so the live tap
+        # layers copy the engine's channels-last output to it when training or
+        # recording; plain inference keeps it for the next 1x1 conv
         rng = tensor.make_rng(47)
         x = rng.standard_normal((2, 8, 5, 5))
         for layer in (net.Conv(8, 8, 3, groups=8, rng=rng),
                       net.GroupInvolution(8, 3, 8, 2, rng=rng),
-                      net.GroupInvolution(8, 3, 2, 2, rng=rng)):
-            assert layer.forward(x).flags.c_contiguous
+                      net.GroupInvolution(8, 3, 1, 2, rng=rng)):
+            y_train, y_record = layer.forward(x, train=True), layer.forward(x, record=True)
+            y_infer = layer.forward(x)
+            assert y_train.flags.c_contiguous and y_record.flags.c_contiguous
+            assert y_infer.transpose(0, 2, 3, 1).flags.c_contiguous
+            # a new GroupInvolution is the identity, whatever its generator's mode
+            assert y_train.tobytes() == y_record.tobytes() == y_infer.tobytes()
 
 
 # The desk model's (width 0.25, 64x64) arrays in checkpoint order, leaf by

@@ -92,6 +92,48 @@ class TestNormalize:
         assert out.shape == (3, 5, 6)
 
 
+def preprocess_ref(frame, size):
+    """The preprocess chain on the scalar oracle: crop, scale by 1/255 once
+    when the whole frame is 8-bit data, resize, map to [-1, 1], gray to three
+    channels."""
+    crop = data.center_crop(frame).astype(np.float64)
+    if np.issubdtype(frame.dtype, np.integer) or frame.max() > 1.5:
+        crop = crop / 255.0
+    out = (bilinear_ref(crop, size) - 0.5) / 0.5
+    if out.ndim == 2:
+        out = out[:, :, None].repeat(3, axis=2)
+    return out.transpose(2, 0, 1)
+
+
+class TestPreprocess:
+    @pytest.mark.parametrize("shape,size", [
+        ((240, 320, 3), 256), ((320, 240, 3), 256), ((300, 400, 3), 256), ((360, 480, 3), 256),
+        ((61, 47), 33),  # gray, odd sizes
+        ((37, 53, 3), 29),
+        ((50, 70, 3), 64),  # upsampling
+        ((150, 200, 3), 64),  # down by more than 2: some rows are not read
+        ((64, 80, 3), 64),  # already at size once cropped
+    ])
+    def test_matches_oracle_chain(self, shape, size):
+        frame = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        out = data.preprocess(frame, size)
+        assert out.shape == (3, size, size)
+        assert np.array_equal(out, preprocess_ref(frame, size))
+
+    @pytest.mark.parametrize("top", [1.0, 255.0])
+    def test_float_frames_match_oracle_chain(self, top):
+        # a unit-range frame is used as it is; a 0-255 one is scaled to it
+        frame = np.random.default_rng(7).random((45, 60, 3)) * top
+        assert np.array_equal(data.preprocess(frame, 40), preprocess_ref(frame, 40))
+
+    def test_large_float_frame_is_scaled_once(self):
+        frame = np.random.default_rng(8).random((30, 40, 3)) * 1000.0
+        frame[0, 0, 0] = 1000.0
+        out = data.preprocess(frame, 20)
+        assert np.array_equal(out, preprocess_ref(frame, 20))
+        assert out.max() > 1.0  # 1000/255 maps above 1; 1000/255**2 would not
+
+
 class TestImageIO:
     def test_ppm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@ batch norm, and the binary tensor container."""
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestActivation:
         h = 1e-7
         fd = (tensor.activation(x + h, kind) - tensor.activation(x - h, kind)) / (2 * h)
         np.testing.assert_allclose(tensor.activation_grad(x, kind), fd, atol=1e-6)
+
+    def test_hardswish_grad_is_blocked(self):
+        # through one cache-sized gate buffer: no input-sized temporaries, and
+        # the bits and memory order of the unblocked formula
+        x = np.random.default_rng(9).uniform(-5, 5, size=(8, 16, 32, 32))
+        x.flat[:4] = [-3.0, 3.0, 0.0, -0.0]
+        for xl in (x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)):
+            inner = ((xl > -3.0) & (xl < 3.0)).astype(xl.dtype)
+            want = tensor.activation(xl, "hardsigmoid") + xl * inner / 6.0
+            tracemalloc.start()
+            try:
+                got = tensor.activation_grad(xl, "hardswish")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * xl.nbytes
+            assert got.tobytes() == want.tobytes() and got.strides == xl.strides
 
 
 class TestBatchNorm:
