@@ -4,14 +4,15 @@ before global average pooling, followed by a two-logit linear head.
 
 Layers are thin wrappers over the functional ops in `tensor` and `ops`: each
 holds its parameters in a `params` dict, non-learnable state (batch-norm
-running statistics) in `state`, and the context of its last recorded forward
-pass. Each batch norm applies the activation that follows it, MobileNetV3's
-conv -> BN -> activation step, and keeps only its normalized input, from
-which its backward rebuilds the pre-activation. A `Sequence` runs named
-layers in order, with an optional residual: each inverted-residual `Block`
-is one, and so is the `Model`. Backward passes are hand-derived and run in
-reverse layer order; each writes its parameter gradients into the parallel
-`grads` dict, so a model is trained without any autograd machinery.
+running statistics) in `state`, and in `_ctx` what its backward needs from
+its last recorded forward, until that backward has used it. Each batch norm
+applies the activation that follows it, MobileNetV3's conv -> BN ->
+activation step, and keeps only its normalized input, from which its
+backward rebuilds the pre-activation. A `Sequence` runs named layers in
+order, with an optional residual: each inverted-residual `Block` is one, and
+so is the `Model`. Backward passes are hand-derived and run in reverse layer
+order; each writes its parameter gradients into the parallel `grads` dict,
+so a model is trained without any autograd machinery.
 
 `freeze` builds the inference-only copy that eval, audit and gradcam run:
 every conv with its batch norm folded in, and plain copies of the rest.
@@ -294,11 +295,11 @@ class GroupInvolution(Layer):
 
 class GlobalPool(Layer):
     def forward(self, x, train=False, record=None):
-        self._spatial = x.shape[2:]
+        self._ctx = x.shape[2:]
         return global_avg_pool(x)
 
     def backward(self, grad_y):
-        return global_avg_pool_backward(grad_y, self._spatial)
+        return global_avg_pool_backward(grad_y, self._ctx)
 
 
 class Linear(Layer):
@@ -348,10 +349,17 @@ class Sequence:
             y += x
         return y
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, prefix=""):
         g = grad_y
-        for _, layer in reversed(self.layers):
-            g = layer.backward(g)
+        for name, layer in reversed(self.layers):
+            if isinstance(layer, Sequence):
+                g = layer.backward(g, f"{prefix}{name}.")
+            elif layer._ctx is None:
+                raise InternalError(f"backward of {prefix}{name} without its context: "
+                                    "already used by a backward, or never recorded")
+            else:
+                g = layer.backward(g)
+                layer._ctx = None  # used: freed now, so one forward backpropagates once
         return g + grad_y if self.residual else g
 
 

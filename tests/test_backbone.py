@@ -211,6 +211,30 @@ class TestContexts:
             model.forward(x, **kwargs)
         assert held == []
 
+    def test_backward_frees_each_context_once_used(self):
+        # a leaf's context goes as soon as its backward returns, so the
+        # contexts of later layers are not held through an earlier layer's
+        # backward, nor past the step
+        model = net.build_model(tiny_cfg(placement="both"), tensor.make_rng(50))
+        leaves = list(model.named_leaves())
+        held, ran = [], []
+
+        def wrap(i, leaf):
+            def backward(grad_y):
+                ran.append(leaves[i][0])
+                held.extend(name for name, later in leaves[i + 1:] if later._ctx is not None)
+                return type(leaf).backward(leaf, grad_y)
+            leaf.backward = backward
+
+        for i, (_, leaf) in enumerate(leaves):
+            wrap(i, leaf)
+        logits = model.forward(np.random.default_rng(51).standard_normal((2, 3, 32, 32)),
+                               train=True)
+        model.backward(np.ones_like(logits))
+        assert ran == [name for name, _ in reversed(leaves)]
+        assert held == []
+        assert [name for name, leaf in leaves if leaf._ctx is not None] == []
+
 
 class TestForwardUntil:
     def test_stops_before_the_given_layer(self):

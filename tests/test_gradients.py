@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gipad import net, ops, tensor, train
+from gipad.errors import InternalError
 
 from oracles import conv2d_ref, fd_grad, gi_ref, max_rel_err
 
@@ -404,22 +405,48 @@ class TestLossGradients:
         assert max_rel_err(grad, numeric) < 1e-6
 
 
+def both_placements_model(seed):
+    cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24, placement="both")
+    return net.build_model(cfg, tensor.make_rng(seed))
+
+
 class TestBackwardWritesGradients:
     def test_repeated_backward_gives_equal_gradients(self):
-        # each backward writes its gradients: a second call on the same
-        # recorded forward leaves them unchanged
-        cfg = net.ModelConfig(width_multiplier=0.25, input_size=32, groups=24,
-                              placement="both")
-        model = net.build_model(cfg, tensor.make_rng(24))
-        rng = np.random.default_rng(25)
-        logits = model.forward(rng.standard_normal((2, 3, 32, 32)), train=True)
+        # each backward writes its gradients: a second forward and backward
+        # of the same input leaves them unchanged (train-mode batch norm
+        # reads only batch statistics, so the second forward is the first)
+        model = both_placements_model(24)
+        x = np.random.default_rng(25).standard_normal((2, 3, 32, 32))
+        logits = model.forward(x, train=True)
         _, gl = train.loss_and_logit_grad(logits, np.array([1.0, 0.0]), 0.05)
         first_gx = model.backward(gl)
         first = {name: arr.copy() for name, arr in model.gradients()}
         assert set(first) == {name for name, _ in model.parameters()}
+        np.testing.assert_array_equal(model.forward(x, train=True), logits)
         np.testing.assert_array_equal(model.backward(gl), first_gx)
         for name, arr in model.gradients():
             np.testing.assert_array_equal(arr, first[name], err_msg=name)
+
+    @pytest.mark.parametrize("kwargs, backwards", [({"train": True}, 2), ({}, 1)],
+                             ids=["second_backward", "never_recorded"])
+    def test_backward_without_its_context_is_an_internal_error(self, kwargs, backwards):
+        # a backward frees each context it uses, so a recorded forward is
+        # backpropagated once; the error names the first leaf it reaches
+        model = both_placements_model(26)
+        logits = model.forward(np.random.default_rng(27).standard_normal((2, 3, 32, 32)),
+                               **kwargs)
+        for _ in range(backwards - 1):
+            model.backward(np.ones_like(logits))
+        with pytest.raises(InternalError, match="backward of head without its context"):
+            model.backward(np.ones_like(logits))
+
+    def test_the_error_names_a_nested_leaf_by_its_dotted_name(self):
+        model = both_placements_model(28)
+        logits = model.forward(np.random.default_rng(29).standard_normal((2, 3, 32, 32)),
+                               train=True)
+        dict(model.named_leaves())["block1.expand_bn"]._ctx = None
+        with pytest.raises(InternalError, match=r"backward of block1\.expand_bn without"):
+            model.backward(np.ones_like(logits))
 
 
 class TestEndToEnd:
