@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import dump
 from .data import split_rows, write_csv, write_image
-from .errors import ConfigError, DataError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError, write_output
 from .tensor import write_tensor4
 
 LF_RADIUS = 1.0
@@ -160,8 +160,7 @@ def export_kernel_field(path, field_arr: np.ndarray) -> None:
     plus a `key = value` sidecar naming n, G and k."""
     n, g, k, _, h, w = field_arr.shape
     write_tensor4(path, field_arr.reshape(n * g, k * k, h, w))
-    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        fh.write(dump({"n": n, "G": g, "k": k}))
+    write_output(f"{path}.meta", [dump({"n": n, "G": g, "k": k}).encode("utf-8")])
 
 
 def audit_run(model, rows, max_samples: int = 256, data_root=".", split="test",
@@ -292,9 +291,8 @@ def report_to_dict(report: AuditReport) -> dict:
 
 def save_report(outdir, report: AuditReport) -> None:
     """JSON report, PGM/tensor exports of the mean maps, histogram CSVs."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+    write_output(os.path.join(outdir, "audit.json"),
+                 [json.dumps(report_to_dict(report), indent=2).encode("utf-8")])
     for name in ("mean_kernel", "mean_energy"):
         arr = getattr(report, name)
         write_image(os.path.join(outdir, f"{name}.pgm"),

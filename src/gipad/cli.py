@@ -20,7 +20,7 @@ import time
 
 from .config import (SPLITS, ModelConfig, Setting, SynthSpec, TrainConfig, convert, dump,
                      parse, settings)
-from .errors import ConfigError, DataError, GipadError, InternalError, read_input
+from .errors import ConfigError, DataError, GipadError, InternalError, read_input, write_output
 
 # The config objects' settings come from their dataclasses.
 OBJECT_SETTINGS = {cls: settings(cls) for cls in (ModelConfig, TrainConfig, SynthSpec)}
@@ -80,9 +80,8 @@ def default_outdir(seed):
 
 
 def echo_resolved(outdir, values, provenance):
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(dump({key: values[key] for key in sorted(SETTINGS)}, provenance))
+    text = dump({key: values[key] for key in sorted(SETTINGS)}, provenance)
+    write_output(os.path.join(outdir, "config.resolved"), [text.encode("utf-8")])
 
 
 def apply_threads(n):
@@ -199,8 +198,8 @@ def cmd_eval(args):
     report = metric_report(scores, labels, op)
     write_scores_csv(os.path.join(values["outdir"], "scores.csv"),
                      test_scores, y_test.astype(int), [r.split for r in test_rows])
-    with open(os.path.join(values["outdir"], "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    write_output(os.path.join(values["outdir"], "metrics.json"),
+                 [json.dumps(report, indent=2).encode("utf-8")])
     print(json.dumps({k: report[k] for k in
                       ("accuracy", "auc", "eer", "hter", "acer", "threshold")}, indent=2))
     return 0
@@ -349,8 +348,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
-        # readers wrap their OSErrors as DataError, so one that reaches here is
-        # an output that could not be written, such as an unwritable --outdir
+        # readers and writers wrap their faults as a DataError naming the
+        # file; an OSError that reaches here came from neither
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except InternalError as exc:

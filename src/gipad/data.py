@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPLITS, SynthSpec
-from .errors import ConfigError, DataError, read_input
+from .errors import ConfigError, DataError, read_input, write_output
 from .tensor import derived_rng
 
 LABELS = ("bonafide", "attack")
@@ -124,11 +124,9 @@ def preprocess(frame: np.ndarray, size: int) -> np.ndarray:
 
 def write_image(path, image: np.ndarray) -> None:
     """Binary 8-bit writer: P5 for a uint8 (h, w) image, P6 for (h, w, 3)."""
-    arr = np.asarray(image, dtype=np.uint8)
+    arr = np.ascontiguousarray(image, dtype=np.uint8)
     magic = "P5" if arr.ndim == 2 else "P6"
-    with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"))
-        fh.write(arr.tobytes())
+    write_output(path, [f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii"), arr])
 
 
 def read_image(path) -> np.ndarray:
@@ -163,11 +161,12 @@ def read_image(path) -> np.ndarray:
 def write_csv(path, header, rows) -> None:
     """The one CSV writer: UTF-8, the header line, then `rows`; every float is
     written as %.17g, so it reads back exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v
-                          for v in row] for row in rows)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, (float, np.floating)) else v
+                      for v in row] for row in rows)
+    write_output(path, [text.getvalue().encode("utf-8")])
 
 
 def read_csv(path, what, header) -> list:
@@ -223,10 +222,6 @@ def load_manifest(path, subject_disjoint: bool = False) -> list[ManifestRow]:
                         f"{path}: subject(s) {sorted(shared)[:3]} appear in both "
                         f"{SPLITS[a]} and {SPLITS[b]} splits")
     return out
-
-
-def write_manifest(path, rows) -> None:
-    write_csv(path, MANIFEST_HEADER, ([r.path, r.label, r.split, r.subject] for r in rows))
 
 
 def split_rows(rows, split: str) -> list[ManifestRow]:
@@ -293,17 +288,15 @@ def generate_synth(spec: SynthSpec, outdir) -> list[ManifestRow]:
     Patch bytes are a pure function of (spec.seed, split, index); the
     manifest is written to <outdir>/manifest.csv.
     """
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for split in SPLITS:
-        split_dir = os.path.join(outdir, split)
-        os.makedirs(split_dir, exist_ok=True)
         for index in range(getattr(spec, split)):
             patch, label = synth_patch(spec.seed, split, index, spec.size)
             rel = os.path.join(split, f"{label}_{index:05d}.ppm")
             write_image(os.path.join(outdir, rel), patch)
             rows.append(ManifestRow(rel, label, split, f"{split}-{index:04d}"))
-    write_manifest(os.path.join(outdir, "manifest.csv"), rows)
+    write_csv(os.path.join(outdir, "manifest.csv"), MANIFEST_HEADER,
+              ([r.path, r.label, r.split, r.subject] for r in rows))
     return rows
 
 

@@ -1,12 +1,14 @@
-"""Exception hierarchy shared across the package, and `read_input`, the one
-reader of the files the program did not write.
+"""Exception hierarchy shared across the package, and the one reader and one
+writer of files: `read_input` for the files the program did not write,
+`write_output` for every file it writes.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, InternalError -> 4. An input file that cannot be opened,
-read or decoded is a DataError, and so is every fault its parser finds in
-its bytes. No numpy here: the CLI reads its config file through this module
-before --threads pins the BLAS thread pools.
+The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
+InternalError -> 4. A file that cannot be read, decoded or written is a
+DataError, and so is every fault a parser finds in its bytes. No numpy
+here: the CLI uses this module before --threads pins the BLAS thread pools.
 """
+
+import os
 
 
 class GipadError(Exception):
@@ -18,7 +20,7 @@ class ConfigError(GipadError):
 
 
 class DataError(GipadError):
-    """Missing, malformed, or inconsistent input data."""
+    """Missing, malformed, or inconsistent input data, or an unwritable output."""
 
 
 class InternalError(GipadError):
@@ -37,3 +39,21 @@ def read_input(path, what, text=False):
         return raw.decode("utf-8") if text else raw
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_output(path, chunks):
+    """Write bytes-like `chunks` unjoined to `<path>.<pid>.tmp`, then replace file `path`
+    (a symlink's target) with that; after a fault the temporary file is gone and a
+    DataError names `path`. No fsync: whole against faults of the process, not power loss."""
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):  # after a fault
+            os.remove(tmp)

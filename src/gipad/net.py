@@ -28,7 +28,7 @@ import numpy as np
 
 from . import config, ops
 from .config import ModelConfig
-from .errors import ConfigError, DataError, InternalError, read_input
+from .errors import ConfigError, DataError, InternalError, read_input, write_output
 from .tensor import (
     activation,
     activation_grad,
@@ -672,10 +672,7 @@ def save_checkpoint(path, model: Model) -> None:
     parts.insert(0, CHECKPOINT_MAGIC
                  + struct.pack("<I", len(config_block)) + config_block
                  + struct.pack("<I", len(manifest_block)) + manifest_block)
-    with open(path, "wb") as fh:
-        for part in parts:
-            fh.write(part)
-        fh.write(struct.pack("<Q", checksum64(*parts)))
+    write_output(path, [*parts, struct.pack("<Q", checksum64(*parts))])
 
 
 def load_checkpoint(path) -> Model:

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_input
+from .errors import ConfigError, DataError, read_input, write_output
 
 T4_MAGIC = b"T4D1"
 BN_EPS = 1e-5
@@ -241,12 +241,6 @@ def tensor4_parts(arr: np.ndarray):
     return T4_MAGIC + struct.pack("<4I", *body.shape), body
 
 
-def tensor4_to_bytes(arr: np.ndarray) -> bytes:
-    """Serialize a rank-4 array into the flat binary container."""
-    header, body = tensor4_parts(arr)
-    return header + body.tobytes()
-
-
 def tensor4_from_bytes(blob: bytes) -> np.ndarray:
     """Parse one binary container; raises DataError on malformed input."""
     if len(blob) < 20 or blob[:4] != T4_MAGIC:
@@ -263,9 +257,7 @@ def tensor4_from_bytes(blob: bytes) -> np.ndarray:
 
 def write_tensor4(path, arr) -> None:
     """Serialize first, so that a rejected array leaves no file behind."""
-    blob = tensor4_to_bytes(arr)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_output(path, tensor4_parts(arr))
 
 
 def read_tensor4(path) -> np.ndarray:

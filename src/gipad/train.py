@@ -243,7 +243,6 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
 def train_and_checkpoint(model, rows, cfg, data_root, outdir):
     """Run train() and write history.csv plus the best checkpoint."""
     history, _ = train(model, rows, cfg, data_root)
-    os.makedirs(outdir, exist_ok=True)
     write_history_csv(os.path.join(outdir, "history.csv"), history)
     save_checkpoint(os.path.join(outdir, "model.ckpt"), model)
     return history

@@ -1,6 +1,7 @@
 """End-to-end subcommand runs through the installed entry point."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -214,6 +215,7 @@ class TestEval:
         """eval holds one batch of frames and activations at a time: from the
         first frame read on, four batches' worth of frames peak no higher
         than one batch, within a margin of a tenth of one batch's frames."""
+        import gc
         import tracemalloc
 
         from gipad import cli, data, train
@@ -245,6 +247,10 @@ class TestEval:
             manifest.write_text("path,label,split,subject\n" + "".join(
                 f"{dataset / r.path},{r.label},test,{r.subject}\n" for r in rows[:n]),
                 encoding="utf-8")
+            # each run leaves argparse's parser as cyclic garbage; collecting
+            # first has the collector run at the same points of every run,
+            # whatever the process ran before
+            gc.collect()
             tracemalloc.start()
             try:
                 code = cli.main(["eval", "--manifest", str(manifest),
@@ -606,6 +612,80 @@ def test_bad_input_exit_code(case, workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     for part in ("error:", *NAMED_IN_ERROR.get(case, ())):
         assert part in err
+
+
+# A write fault after the first chunk at each writer: (the command, beside
+# --outdir, and the file under the outdir at which its write fails).
+SYNTH_SMALL = ["synth", "--train", "2", "--dev", "2", "--test", "2", "--size", "16"]
+EVAL_ARGS = ["eval", "--manifest", "{manifest}", "--checkpoint", "{ckpt}"]
+AUDIT_ARGS = ["audit", "--manifest", "{manifest}", "--checkpoint", "{ckpt}",
+              "--max-samples", "4", "--export-fields"]
+WRITE_FAULTS = {
+    "config_resolved": (["flops"], "config.resolved"),
+    "flops_csv": (["flops"], "flops.csv"),
+    "synth_manifest": (SYNTH_SMALL, "manifest.csv"),
+    "synth_frame": (SYNTH_SMALL, "dev/*_00001.ppm"),
+    "history_csv": (TRAIN_ARGS, "history.csv"),
+    "checkpoint": (TRAIN_ARGS, "model.ckpt"),
+    "scores_csv": (EVAL_ARGS, "scores.csv"),
+    "metrics_json": (EVAL_ARGS, "metrics.json"),
+    "audit_json": (AUDIT_ARGS, "audit.json"),
+    "audit_map_t4": (AUDIT_ARGS, "mean_kernel.t4"),
+    "audit_map_pgm": (AUDIT_ARGS, "mean_energy.pgm"),
+    "audit_histogram": (AUDIT_ARGS, "hist_hf_lf.csv"),
+    "field_t4": (AUDIT_ARGS, "field.t4"),
+    "field_sidecar": (AUDIT_ARGS, "field.t4.meta"),
+    "heatmap_pgm": (GRADCAM_ARGS, "heatmap.pgm"),
+}
+
+
+class FullDisk:
+    """A file opened for writing whose disk fills up once it has written its
+    first chunk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def writelines(self, chunks):
+        self.fh.write(next(iter(chunks)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("case", sorted(WRITE_FAULTS))
+def test_write_fault_exit_code(case, workspace, tmp_path, monkeypatch, capsys):
+    """A write fault exits 3 naming the file, leaves the file of an earlier
+    run byte-identical, and leaves no temporary file."""
+    from gipad import cli, errors
+
+    argv, pattern = WRITE_FAULTS[case]
+    subs = {"manifest": workspace["dataset"] / "manifest.csv",
+            "ckpt": workspace["rundir"] / "model.ckpt",
+            "image": next((workspace["dataset"] / "test").glob("*.ppm"))}
+    outdir = tmp_path / "out"
+    argv = [*(a.format(**subs) for a in argv), "--outdir", str(outdir)]
+    assert cli.main(argv) == 0
+    (path,) = outdir.glob(pattern)
+    good, files = path.read_bytes(), sorted(outdir.rglob("*"))
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        # the temporary file of `path` is <name>.<pid>.tmp beside it
+        if "w" in mode and file.rsplit(".", 2)[0] == str(path):
+            return FullDisk(fh)
+        return fh
+
+    capsys.readouterr()
+    monkeypatch.setattr(errors, "open", full_disk_open, raising=False)
+    assert cli.main(argv) == 3
+    assert f"data error: cannot write {path}: [Errno 28]" in capsys.readouterr().err
+    assert path.read_bytes() == good
+    assert sorted(outdir.rglob("*")) == files
 
 
 class TestOneClassAudit:

@@ -316,12 +316,12 @@ class TestPurity:
 class TestContainer:
     def test_roundtrip(self):
         x = np.random.default_rng(14).standard_normal((2, 3, 4, 5))
-        blob = tensor.tensor4_to_bytes(x)
+        blob = b"".join(tensor.tensor4_parts(x))
         np.testing.assert_array_equal(tensor.tensor4_from_bytes(blob), x)
 
     def test_header_layout(self):
         x = np.arange(24.0).reshape(1, 2, 3, 4)
-        blob = tensor.tensor4_to_bytes(x)
+        blob = b"".join(tensor.tensor4_parts(x))
         assert blob[:4] == b"T4D1"
         assert struct.unpack("<4I", blob[4:20]) == (1, 2, 3, 4)
         assert len(blob) == 20 + 24 * 8
@@ -340,7 +340,7 @@ class TestContainer:
 
     def test_truncated(self):
         x = np.zeros((1, 1, 2, 2))
-        blob = tensor.tensor4_to_bytes(x)
+        blob = b"".join(tensor.tensor4_parts(x))
         with pytest.raises(DataError):
             tensor.tensor4_from_bytes(blob[:-4])
 
@@ -348,13 +348,13 @@ class TestContainer:
         x = np.zeros((1, 1, 1, 2))
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ConfigError):
-            tensor.tensor4_to_bytes(x)
+            b"".join(tensor.tensor4_parts(x))
         with pytest.raises(ConfigError):
             tensor.write_tensor4(tmp_path / "t.t4", x)
         assert not (tmp_path / "t.t4").exists()
 
     def test_non_finite_bytes_are_data_errors(self):
-        blob = tensor.tensor4_to_bytes(np.zeros((1, 1, 1, 2)))
+        blob = b"".join(tensor.tensor4_parts(np.zeros((1, 1, 1, 2))))
         blob = blob[:20] + struct.pack("<d", np.nan) + blob[28:]
         with pytest.raises(DataError, match="non-finite"):
             tensor.tensor4_from_bytes(blob)
