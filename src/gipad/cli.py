@@ -14,6 +14,7 @@ numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -142,9 +143,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     """Score the test split, and the dev split for a dev-EER threshold, then
-    write scores.csv and metrics.json. Each split is read from disk and
-    scored one batch of `train.score_batch_size` frames at a time, so memory
-    holds one batch of frames and activations whatever the split's size."""
+    write scores.csv and metrics.json. `train.score_batches` reads and scores
+    each split one batch at a time, so memory holds one batch of frames and
+    activations whatever the split's size."""
     values = _prepare(args)
     import json
 
@@ -154,27 +155,21 @@ def cmd_eval(args):
     from .metrics import (OperatingPoint, metric_report, operating_point_from_dev,
                           write_scores_csv)
     from .net import freeze, load_checkpoint
-    from .train import load_split_tensors, score_batch_size, score_batches
+    from .train import score_batch_size, score_batches
 
     rows, root = _load_rows(values)
     model = freeze(load_checkpoint(values["checkpoint"]))
-    batch = score_batch_size(model)
 
     def score_split(split, chosen):
-        scores, labels = [], []
-        for start in range(0, len(chosen), batch):
-            x, y = load_split_tensors(root, chosen[start:start + batch], model.cfg.input_size)
-            # an overflowing forward is reported below, not by numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                scores.append(score_batches(model, x))
-            labels.append(y)
-        p = np.concatenate(scores)
+        # an overflowing forward is reported below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, y = score_batches(model, root, chosen)
         if not np.all(np.isfinite(p)):
             raise DataError(f"{values['checkpoint']}: the forward pass overflows on the "
                             f"{split} split and gives non-finite scores")
-        print(f"eval: scored {len(chosen)} {split} frames in batches of {batch}",
-              file=sys.stderr)
-        return p, np.concatenate(labels)
+        print(f"eval: scored {len(chosen)} {split} frames in batches of "
+              f"{score_batch_size(model)}", file=sys.stderr)
+        return p, y
 
     test_rows = split_rows(rows, "test")
     if not test_rows:
@@ -322,8 +317,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
-    """Flags carry raw text; `resolve_config` converts it like config file text."""
+    """Flags carry raw text; `resolve_config` converts it like config file text.
+    Built once per process: every `main` call parses with the same parser."""
     parser = argparse.ArgumentParser(prog="gipad", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_line, keys) in COMMANDS.items():

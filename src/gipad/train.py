@@ -146,7 +146,7 @@ def run_early_stopping(dev_losses, patience: int, max_epochs: int):
 # ---------------------------------------------------------------------------
 
 def load_split_tensors(root, rows, size: int, dtype=np.float64):
-    """Preprocess every row once; returns (x, y) with x (n, 3, size, size)."""
+    """Read and preprocess one batch of rows; returns (x, y), x (n, 3, size, size)."""
     x = np.stack([load_frame_tensor(root, row, size) for row in rows], dtype=dtype)
     y = np.array([row.y for row in rows], dtype=np.float64)
     return x, y
@@ -159,21 +159,24 @@ def score_batch_size(model: Model, dtype=np.float64) -> int:
     return max(1, SCORE_BYTES // per_sample)
 
 
-def score_batches(model: Model, x: np.ndarray) -> np.ndarray:
-    """Live-class probabilities in infer mode, over batches of
-    score_batch_size(model, x.dtype) samples: 32 for the desk model in
-    float64, one for the full-width model at 256x256. The memory of each
-    forward then stays about the same whatever the size of x."""
-    batch = score_batch_size(model, x.dtype)
-    out = []
-    for start in range(0, x.shape[0], batch):
-        logits = model.forward(x[start:start + batch], train=False, record=False)
-        out.append(live_probability(logits))
-    return np.concatenate(out) if out else np.zeros(0)
+def score_batches(model: Model, root, rows, dtype=np.float64):
+    """Live-class probabilities in infer mode and labels of the non-empty
+    `rows`, read from disk and scored score_batch_size(model, dtype) rows at
+    a time: 32 for the desk model in float64, one for the full-width model at
+    256x256. Memory then holds one batch of frames and activations whatever
+    the number of rows. Returns (p, y)."""
+    batch = score_batch_size(model, dtype)
+    scores, labels = [], []
+    for start in range(0, len(rows), batch):
+        x, y = load_split_tensors(root, rows[start:start + batch], model.cfg.input_size, dtype)
+        scores.append(live_probability(model.forward(x, train=False, record=False)))
+        labels.append(y)
+    return np.concatenate(scores), np.concatenate(labels)
 
 
 def train(model: Model, rows, cfg: TrainConfig, data_root="."):
-    """Fit `model` on the manifest's train split, early-stopping on dev loss.
+    """Fit `model` on the manifest's train split, early-stopping on dev loss;
+    each step and score_batches read one batch of frames from disk at a time.
 
     Returns (history, best_params) where best_params maps parameter and
     running-stat names to copies taken at the best-dev-loss epoch; the model
@@ -186,8 +189,6 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
     dtype = np.float64 if cfg.precision == "double" else np.float32
     if cfg.precision == "single":
         model.astype(dtype)
-    x_train, y_train = load_split_tensors(data_root, train_split, model.cfg.input_size, dtype)
-    x_dev, y_dev = load_split_tensors(data_root, dev_split, model.cfg.input_size, dtype)
 
     rng = derived_rng(cfg.seed, "train")
     params = dict(model.parameters())
@@ -202,11 +203,12 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb = x_train[idx]  # an integer index already copies
+            xb, yb = load_split_tensors(data_root, [train_split[i] for i in idx],
+                                        model.cfg.input_size, dtype)
             fb = flips[idx]
             xb[fb] = xb[fb][:, :, :, ::-1]
             logits = model.forward(xb, train=True)
-            loss, grad_logits = loss_and_logit_grad(logits, y_train[idx], cfg.label_smoothing)
+            loss, grad_logits = loss_and_logit_grad(logits, yb, cfg.label_smoothing)
             if not np.isfinite(loss):
                 raise InternalError(f"non-finite training loss at epoch {epoch}")
             model.backward(grad_logits.astype(dtype))
@@ -214,7 +216,7 @@ def train(model: Model, rows, cfg: TrainConfig, data_root="."):
             epoch_loss += loss * len(idx)
         epoch_loss /= len(train_split)
 
-        p_dev = score_batches(model, x_dev)
+        p_dev, y_dev = score_batches(model, data_root, dev_split, dtype)
         dev_loss, _ = bce_loss(p_dev, y_dev, cfg.label_smoothing)
         dev_acc = float(np.mean((p_dev >= 0.5) == (y_dev == 1.0)))
         history.train_loss.append(float(epoch_loss))

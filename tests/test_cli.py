@@ -109,6 +109,22 @@ class TestTrain:
                        "--outdir", str(tmp_path / "out"), *TRAIN_FLAGS)
         assert proc.returncode == 3
 
+    def test_missing_train_frame_exit_3(self, tmp_path, capsys):
+        """A train frame deleted after synth is found at its batch: exit 3
+        naming the file, and neither model.ckpt nor history.csv written."""
+        from gipad import cli
+
+        dataset, outdir = tmp_path / "data", tmp_path / "run"
+        assert cli.main(synth_args(dataset)) == 0
+        frame = sorted((dataset / "train").glob("*.ppm"))[5]
+        frame.unlink()
+        capsys.readouterr()
+        assert cli.main(["train", "--manifest", str(dataset / "manifest.csv"),
+                         "--outdir", str(outdir), *TRAIN_FLAGS]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read image ") and frame.name in err
+        assert sorted(os.listdir(outdir)) == ["config.resolved"]
+
     def test_param_count_diff_matches_formula(self, workspace, tmp_path):
         from gipad import net
 
@@ -247,9 +263,8 @@ class TestEval:
             manifest.write_text("path,label,split,subject\n" + "".join(
                 f"{dataset / r.path},{r.label},test,{r.subject}\n" for r in rows[:n]),
                 encoding="utf-8")
-            # each run leaves argparse's parser as cyclic garbage; collecting
-            # first has the collector run at the same points of every run,
-            # whatever the process ran before
+            # collecting first has the collector run at the same points of
+            # every run, whatever cyclic garbage the process left before
             gc.collect()
             tracemalloc.start()
             try:
@@ -442,6 +457,24 @@ class TestGradcam:
 
 
 class TestConfigHandling:
+    def test_main_parses_with_one_parser(self, tmp_path, monkeypatch, capsys):
+        """The parser is built once per process, not left as garbage by each call."""
+        import argparse
+
+        from gipad import cli
+
+        used, parse = [], argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            used.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for run in ("a", "b"):  # no manifest: exit 2 once the flags are parsed
+            assert cli.main(["eval", "--outdir", str(tmp_path / run)]) == 2
+        assert len(used) == 2 and used[0] is used[1]
+        capsys.readouterr()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("unknown_thing = 3\n", encoding="utf-8")

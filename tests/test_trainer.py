@@ -165,6 +165,39 @@ class TestTrainLoop:
         assert len(list(model.gradients())) == len(list(model.parameters()))
         assert [name for name, arr in arrays if arr.dtype != np.float32] == []
 
+    def test_memory_does_not_grow_with_the_split(self, tmp_path):
+        """train reads one batch of frames at a time: over one epoch, four
+        batches of train rows peak no higher than one batch, within a margin
+        of a tenth of one batch's frames."""
+        import gc
+        import tracemalloc
+
+        batch = 8
+        rows = make_dataset(tmp_path, counts=(4 * batch, 4, 1))
+        train_rows = data.split_rows(rows, "train")
+        dev_rows = data.split_rows(rows, "dev")
+        cfg = train.TrainConfig(seed=3, max_epochs=1, batch_size=batch)
+
+        def peak(n):
+            model = tiny_model(3)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                # every step but the first runs while the last step's gradients
+                # are held; a step beforehand has both runs hold them throughout
+                model.forward(np.zeros((batch, 3, 32, 32)), train=True)
+                model.backward(np.zeros((batch, 2)))
+                tracemalloc.reset_peak()
+                train.train(model, train_rows[:n] + dev_rows, cfg, str(tmp_path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(batch)  # caches and lazy imports, which stay allocated
+        one, four = peak(batch), peak(4 * batch)
+        frames = batch * 3 * 32 * 32 * 8
+        assert four <= one + frames // 10, (one, four)
+
     def test_history_csv_format(self, tmp_path):
         history = train.TrainHistory(train_loss=[0.5, 0.4], dev_loss=[0.6, 0.45],
                                      dev_acc=[0.7, 0.8], best_epoch=2,
